@@ -180,7 +180,7 @@ Variable Reshape(const Variable& x, std::vector<size_t> shape) {
         << "reshape must preserve element count";
   } else {
     // Tape-free path: copy through OutputBuffer so the buffer comes from
-    // the scratch arena (reshape is all over the factored catalog program)
+    // the scratch arena (reshape is all over the eager serving forwards)
     // rather than the heap, and skips the zero-fill.
     size_t count = 1;
     for (size_t d : shape) count *= d;

@@ -14,7 +14,8 @@ namespace core {
 /// can watch serving settle into the allocation-free steady state: after
 /// warm-up, heap_refills stops moving while allocations keeps counting.
 struct ScratchStats {
-  /// Bump allocations served (one per op output in a scratch scope).
+  /// Bump allocations served (one per op output in a scratch scope, and
+  /// one per GEMM trans-A pack panel, in or out of a scope).
   uint64_t allocations = 0;
   /// Heap blocks ever reserved by arenas. Constant in steady state — the
   /// allocation-free-serving tests assert its delta is zero.
@@ -59,10 +60,6 @@ class ScratchArena {
   /// Allocate() for n floats.
   float* AllocateFloats(size_t n) {
     return static_cast<float*>(Allocate(n * sizeof(float)));
-  }
-  /// Allocate() for n int32 ids (per-chunk candidate/static id vectors).
-  int32_t* AllocateInts(size_t n) {
-    return static_cast<int32_t*>(Allocate(n * sizeof(int32_t)));
   }
 
   /// A rewind point: which block was active and how much of it was used.

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "core/scratch_arena.h"
 #include "ir/passes.h"
 #include "ir/trace.h"
 #include "ir/verify.h"
@@ -339,14 +338,11 @@ void FillIndexArrays(const Program& prog, Frame* f, int32_t user_index,
 }
 
 /// Runs one program against a frame. \p slots backs kSlot reads (bodies);
-/// \p cands is the per-row candidate array (null for prologues). The whole
-/// run sits inside a ScratchScope so any kernel-internal scratch (the GEMM
-/// trans-A pack buffer) comes from the thread arena, not the heap.
+/// \p cands is the per-row candidate array (null for prologues).
 void RunProgram(const Program& prog, Frame* f,
                 const std::vector<tensor::Tensor>* slots, int32_t user_index,
                 const int32_t* history, const int32_t* cands,
                 int32_t cand_base, int32_t unified_dyn_base) {
-  core::ScratchScope scratch_scope;
   FillIndexArrays(prog, f, user_index, history, cands, cand_base,
                   unified_dyn_base);
 
@@ -789,9 +785,15 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
   return true;
 }
 
+size_t SharedContext::ApproxBytes() const {
+  size_t total = dynamic_ids.size() * sizeof(int32_t) + sizeof(*this);
+  for (const tensor::Tensor& t : slots) total += t.size() * sizeof(float);
+  return total;
+}
+
 void Engine::MakeContext(int32_t user_index,
                          const std::vector<int32_t>& dynamic_ids,
-                         core::SharedContext* ctx) const {
+                         SharedContext* ctx) const {
   SEQFM_CHECK_EQ(dynamic_ids.size(), n_seq_);
   Frame* pf = FrameFor(prologue_);
   RunProgram(prologue_, pf, nullptr, user_index, dynamic_ids.data(), nullptr,
@@ -802,12 +804,39 @@ void Engine::MakeContext(int32_t user_index,
     ctx->slots.push_back(pf->locals[id]);  // deep copy: outlives the frame
   }
   ctx->engine_uid = uid_;
-  ctx->n = n_seq_;
   ctx->user_index = user_index;
   ctx->dynamic_ids = dynamic_ids;
 }
 
-bool Engine::ScoreRange(const core::SharedContext& ctx,
+const Program* Engine::BodyFor(size_t count, std::string* error) const {
+  // Bodies are specialized to >= 2 candidates (compile needs two distinct
+  // probes); ScoreRange runs a single-candidate chunk through the count-2
+  // body with the candidate doubled.
+  const size_t body_count = std::max<size_t>(count, 2);
+  // Look up the body under the lock, but never compile under it: a wave
+  // chunk task calling in here already holds the pool's region lock, and a
+  // fresh compile takes that same lock through tracing's ParallelFor — the
+  // old hold-mu_-across-compile shape deadlocked against exactly that.
+  // Losing a duplicate-compile race costs one discarded program, not bits.
+  {
+    util::OrderedMutexLock lock(mu_);
+    auto it = bodies_.find(body_count);
+    if (it != bodies_.end()) return it->second.get();
+  }
+  if (!CompileCount(body_count, /*adopt_prologue=*/false, error)) {
+    return nullptr;
+  }
+  util::OrderedMutexLock lock(mu_);
+  auto it = bodies_.find(body_count);
+  SEQFM_CHECK(it != bodies_.end());
+  return it->second.get();  // unique_ptr target: stable after unlock
+}
+
+bool Engine::PrepareBody(size_t count, std::string* error) const {
+  return count == 0 || BodyFor(count, error) != nullptr;
+}
+
+bool Engine::ScoreRange(const SharedContext& ctx,
                         const std::vector<int32_t>& candidates, size_t begin,
                         size_t end, float* out, std::string* error) const {
   const size_t count = end - begin;
@@ -816,38 +845,16 @@ bool Engine::ScoreRange(const core::SharedContext& ctx,
     *error = "score: context was built by a different engine";
     return false;
   }
-  // Bodies are specialized to >= 2 candidates (compile needs two distinct
-  // probes); a single-candidate chunk rides the count-2 body with the
-  // candidate doubled. Rows are independent in every op, so row 0's bits
-  // match the single-row program exactly.
-  const size_t body_count = std::max<size_t>(count, 2);
+  // Rows are independent in every op, so row 0 of the count-2 body matches
+  // the single-row program's bits exactly.
   int32_t padded[2];
   const int32_t* cands = candidates.data() + begin;
   if (count == 1) {
     padded[0] = padded[1] = candidates[begin];
     cands = padded;
   }
-
-  // Look up the body under the lock, but never compile under it: a wave
-  // chunk task calling in here already holds the pool's region lock, and a
-  // fresh compile takes that same lock through tracing's ParallelFor — the
-  // old hold-mu_-across-compile shape deadlocked against exactly that.
-  // Losing a duplicate-compile race costs one discarded program, not bits.
-  const Program* body = nullptr;
-  {
-    util::OrderedMutexLock lock(mu_);
-    auto it = bodies_.find(body_count);
-    if (it != bodies_.end()) body = it->second.get();
-  }
-  if (body == nullptr) {
-    if (!CompileCount(body_count, /*adopt_prologue=*/false, error)) {
-      return false;
-    }
-    util::OrderedMutexLock lock(mu_);
-    auto it = bodies_.find(body_count);
-    SEQFM_CHECK(it != bodies_.end());
-    body = it->second.get();  // unique_ptr target: stable after unlock
-  }
+  const Program* body = BodyFor(count, error);
+  if (body == nullptr) return false;
 
   Frame* bf = FrameFor(*body);
   RunProgram(*body, bf, &ctx.slots, ctx.user_index, ctx.dynamic_ids.data(),

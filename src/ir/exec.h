@@ -9,15 +9,36 @@
 #include <vector>
 
 #include "core/model_interface.h"
-#include "core/seqfm.h"
 #include "data/dataset.h"
 #include "ir/program.h"
+#include "tensor/tensor.h"
 #include "util/ordered_mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace seqfm {
 namespace ir {
+
+/// \brief Candidate-invariant state of one (user, history) request: the
+/// prologue's output tensors, computed once by Engine::MakeContext and re-used
+/// for every candidate chunk the body scores.
+///
+/// The serving analogue of an LLM server's KV cache: serve::ContextCache
+/// memoizes contexts across requests keyed on (user, history hash). The
+/// struct is immutable after MakeContext and safe to share across scoring
+/// threads.
+struct SharedContext {
+  int32_t user_index = 0;
+  std::vector<int32_t> dynamic_ids;  // BatchBuilder layout, length max_seq_len
+  /// The prologue's slot tensors, in slot order.
+  std::vector<tensor::Tensor> slots;
+  /// Uid of the engine whose body programs may consume the slots.
+  uint64_t engine_uid = 0;
+
+  /// Resident bytes of the slot tensors + id buffer — the unit of
+  /// serve::ContextCache's byte budget.
+  size_t ApproxBytes() const;
+};
 
 /// \brief The serving VM: executes arena-planned programs allocation-free.
 ///
@@ -75,15 +96,24 @@ class Engine {
   /// execution frame), ids, and this engine's uid. \p dynamic_ids is the
   /// BatchBuilder-layout history row (length max_seq_len, -1 padding).
   void MakeContext(int32_t user_index, const std::vector<int32_t>& dynamic_ids,
-                   core::SharedContext* ctx) const;
+                   SharedContext* ctx) const;
 
   /// Scores candidates[begin..end) against \p ctx into out[0..end-begin).
   /// Lazily compiles (and self-checks) a body for this chunk's candidate
   /// count on first use. Returns false with \p error set if that compile
   /// fails — the caller falls back to the eager path for the chunk.
-  bool ScoreRange(const core::SharedContext& ctx,
+  bool ScoreRange(const SharedContext& ctx,
                   const std::vector<int32_t>& candidates, size_t begin,
                   size_t end, float* out, std::string* error) const;
+
+  /// Compiles the body for \p count candidates now, on the calling thread,
+  /// unless it exists; false (with \p error set) if that compile fails.
+  /// ScoreRange would compile it on whichever thread first scores a chunk
+  /// of that size, so a caller about to fan chunks of new sizes out over
+  /// the pool prepares them first: each compile then runs once, here,
+  /// instead of racing on several workers at once.
+  bool PrepareBody(size_t count, std::string* error) const
+      SEQFM_EXCLUDES(mu_);
 
   /// Number of slot tensors a context carries.
   size_t num_slots() const { return prologue_.slot_outputs.size(); }
@@ -122,6 +152,11 @@ class Engine {
   /// (first insert wins, both results are bit-identical).
   bool CompileCount(size_t count, bool adopt_prologue,
                     std::string* error) const SEQFM_EXCLUDES(mu_);
+
+  /// The published body for \p count candidates (count-2 for a single
+  /// candidate), compiling it first if needed; null when that fails.
+  const Program* BodyFor(size_t count, std::string* error) const
+      SEQFM_EXCLUDES(mu_);
 
   core::Model* model_ = nullptr;
   const data::BatchBuilder* builder_ = nullptr;

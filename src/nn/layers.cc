@@ -52,11 +52,6 @@ Variable Embedding::Forward(const std::vector<int32_t>& indices, size_t batch,
   return autograd::EmbeddingGather(table_, indices, batch, n);
 }
 
-Variable Embedding::Forward(const int32_t* indices, size_t batch,
-                            size_t n) const {
-  return autograd::EmbeddingGather(table_, indices, batch, n);
-}
-
 // ---------------------------------------------------------------------------
 // LayerNorm
 // ---------------------------------------------------------------------------

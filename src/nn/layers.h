@@ -43,8 +43,6 @@ class Embedding : public Module {
   /// Gathers rows: indices laid out row-major [batch, n] -> [batch, n, dim].
   Variable Forward(const std::vector<int32_t>& indices, size_t batch,
                    size_t n) const;
-  /// Pointer form: \p indices need not outlive the call (scratch arenas).
-  Variable Forward(const int32_t* indices, size_t batch, size_t n) const;
 
   const Variable& table() const { return table_; }
   size_t vocab() const { return vocab_; }
@@ -85,13 +83,6 @@ class SelfAttention : public Module {
   Variable Forward(const Variable& e, const Variable& mask) const;
 
   size_t dim() const { return dim_; }
-
-  /// Projection weights, exposed read-only for the serving fast path
-  /// (serve::Predictor's factored catalog program applies them to row
-  /// subsets without rebuilding the full attention input).
-  const Variable& wq() const { return wq_; }
-  const Variable& wk() const { return wk_; }
-  const Variable& wv() const { return wv_; }
 
  private:
   size_t dim_;

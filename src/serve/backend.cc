@@ -57,13 +57,13 @@ Status LocalShardBackend::ScoreTopK(
     SEQFM_CHECK_LE(job.end, job.candidates->size());
   }
 
-  // Phase 1 (context path only): resolve each unique (user, history)
+  // Phase 1 (compiled path only): resolve each unique (user, history)
   // SharedContext once per batch. The map dedupes duplicate users across
   // jobs before they even reach the ContextCache, so a cold cache never
   // computes the same context twice in one batch; groups resolve
   // concurrently on the pool.
   std::vector<Predictor::ContextPtr> contexts(num_jobs);
-  if (predictor_->context_path_active()) {
+  if (predictor_->compiled_active()) {
     std::map<std::pair<int32_t, std::vector<int32_t>>, std::vector<size_t>>
         groups;
     for (size_t j = 0; j < num_jobs; ++j) {
@@ -111,6 +111,11 @@ Status LocalShardBackend::ScoreTopK(
          begin += chunk_size) {
       tasks.push_back({j, begin, std::min(jobs[j].end, begin + chunk_size)});
     }
+  }
+  if (predictor_->compiled_active()) {
+    std::vector<size_t> sizes;
+    for (const JobChunk& task : tasks) sizes.push_back(task.end - task.begin);
+    predictor_->PrepareChunks(std::move(sizes));
   }
   // Chunk tasks of the same job may run concurrently; its heap is fed under
   // a mutex, and the retained set is push-order independent (RankBefore is

@@ -10,7 +10,6 @@
 
 #include "core/model_interface.h"
 #include "core/scratch_arena.h"
-#include "core/seqfm.h"
 #include "data/dataset.h"
 #include "ir/exec.h"
 #include "serve/context_cache.h"
@@ -23,14 +22,6 @@ struct PredictorOptions {
   /// Candidates scored per tape-free forward. Also the chunk the candidate
   /// loop hands to the shared util::ThreadPool.
   size_t micro_batch = 256;
-  /// Use the factored SeqFM catalog program when the model supports it (all
-  /// three views enabled, default masking). The program computes the
-  /// candidate-invariant work — the whole dynamic view and the dynamic-side
-  /// projections of the cross view — once per request and only re-scores the
-  /// candidate-dependent rows, the same way an LLM server reuses its KV
-  /// cache across decode steps. Scores are bit-for-bit identical to the
-  /// batched Model::Score path; set to false to force the generic path.
-  bool enable_seqfm_fast_path = true;
   /// Compile the model into a static op program at construction (trace → IR
   /// passes → arena-planned VM; see src/ir/) and serve every request through
   /// it: the candidate-invariant prologue runs once per (user, history) and
@@ -39,24 +30,15 @@ struct PredictorOptions {
   /// SeqFM. Scores stay bit-for-bit identical to Model::Score — the compiler
   /// self-checks both program halves against the traced forward and the
   /// Predictor permanently falls back to the eager path (one warning) if a
-  /// lazy per-count compile ever fails. Set to false to force eager serving
-  /// (the parity oracle; also bench_serving's compiled-off baseline).
+  /// lazy per-count compile ever fails. Set to false to force eager serving:
+  /// the parity oracle, whose op outputs come from the worker thread's
+  /// core::ScratchArena.
   bool use_compiled_program = true;
-  /// Byte budget for the (user, history) SharedContext LRU cache in front of
-  /// the factored path; 0 disables caching. Each entry holds the per-request
-  /// candidate-invariant tensors, roughly 4*(3*n*d + 4*d) bytes for seq-len
-  /// n and dim d (~39 KiB at n=50, d=64), so 64 MiB caches ~1.7k such
-  /// contexts. Compiled-program contexts are cached through the same LRU
-  /// (their unit is the prologue's slot tensors). Ignored when neither the
-  /// compiled nor the hand-factored context path is active.
+  /// Byte budget for the (user, history) ir::SharedContext LRU cache in
+  /// front of the compiled program; 0 disables caching. Each entry holds the
+  /// prologue's slot tensors (their size depends on the model; see
+  /// ir::EngineStats::slots). Ignored when the model did not compile.
   size_t context_cache_bytes = 0;
-  /// Draw tape-free op outputs from the worker thread's core::ScratchArena
-  /// (zero tensor heap allocations in steady state). Off = every op output
-  /// is an individual heap allocation, the pre-arena behavior — kept as an
-  /// escape hatch and as bench_serving's arena-off baseline. The arena
-  /// retains each worker's per-chunk high-water mark (tens of MiB at
-  /// serving shapes) for reuse across requests.
-  bool use_scratch_arena = true;
 };
 
 /// One ranked catalog entry returned by Predictor::TopK.
@@ -81,12 +63,13 @@ std::vector<ScoredItem> SelectTopK(const std::vector<int32_t>& candidates,
 ///
 /// A Predictor wraps a trained model (any core::Model) and scores candidate
 /// catalogs without constructing autograd state: every forward runs under
-/// autograd::NoGradGuard in micro-batches, and SeqFM requests take the
-/// factored catalog program described in PredictorOptions, optionally
-/// memoized by a serve::ContextCache. Scoring is read-only on the model and
-/// safe to call concurrently after construction; ReloadCheckpoint is the one
-/// mutating call and requires the caller to quiesce scoring first
-/// (BatchServer::ReloadCheckpoint does).
+/// autograd::NoGradGuard in micro-batches. Requests take the compiled op
+/// program described in PredictorOptions, its per-request prologue
+/// optionally memoized by a serve::ContextCache; models that do not compile
+/// (and use_compiled_program=false) take the eager Model::Score path.
+/// Scoring is read-only on the model and safe to call concurrently after
+/// construction; ReloadCheckpoint is the one mutating call and requires the
+/// caller to quiesce scoring first (BatchServer::ReloadCheckpoint does).
 class Predictor {
  public:
   using ContextPtr = ContextCache::ContextPtr;
@@ -149,53 +132,44 @@ class Predictor {
 
   // --- Fused-scoring building blocks (used by serve::BatchServer) ---------
 
-  /// The (cached) SharedContext for this example. Context path only
-  /// (context_path_active() must hold). Compiled contexts carry the
-  /// prologue's slot tensors; hand-factored SeqFM contexts the h_dyn/q_dyn/…
-  /// tensors.
+  /// The (cached) SharedContext for this example: the compiled prologue's
+  /// slot tensors. Requires a compiled model (engine() != null); call it when
+  /// compiled_active() holds.
   ContextPtr AcquireContext(const data::SequenceExample& ex) const;
 
-  /// Scores candidates[begin, end) against \p ctx — through the compiled
-  /// body program when compiled_active(), else the hand-factored SeqFM
-  /// program — writing the end - begin results to out[0, end - begin).
+  /// Scores candidates[begin, end) against \p ctx through the compiled body
+  /// program, writing the end - begin results to out[0, end - begin).
   /// Taking a chunk-local output buffer (rather than a catalog-sized one
   /// indexed by begin) is what lets sharded serving bound its memory to one
   /// chunk per pool thread. Sets up its own NoGradGuard, so it can run
   /// directly on pool worker threads. A compiled-path failure (a lazy
   /// per-count body compile that does not verify) permanently disables the
-  /// engine and re-scores the chunk through the fallback paths, so results
+  /// engine and re-scores the chunk through ScoreGenericRange, so results
   /// are always produced.
-  void ScoreContextRange(const core::SharedContext& ctx,
+  void ScoreContextRange(const ir::SharedContext& ctx,
                          const data::SequenceExample& ex,
                          const std::vector<int32_t>& candidates,
                          size_t begin, size_t end, float* out) const;
 
-  /// The hand-factored SeqFM catalog program (fast path). Kept callable on
-  /// its own as the reference implementation ScoreContextRange falls back
-  /// to; requires a hand-factored context (ctx.h_dyn defined).
-  void ScoreFactoredRange(const core::SharedContext& ctx,
-                          const std::vector<int32_t>& candidates,
-                          size_t begin, size_t end, float* out) const;
+  /// Compiles, on the calling thread, the body for each chunk size in
+  /// \p sizes that the engine lacks (ir::Engine::PrepareBody). Callers
+  /// that fan ScoreContextRange chunks out over the pool call it first, so
+  /// a new size compiles once on the caller rather than concurrently on
+  /// whichever workers pick its chunks up. A failed compile disables the
+  /// engine as a failed chunk would. No-op unless compiled_active().
+  void PrepareChunks(std::vector<size_t> sizes) const;
 
   /// Generic-path equivalent of ScoreContextRange (any model).
   void ScoreGenericRange(const data::SequenceExample& ex,
                          const std::vector<int32_t>& candidates,
                          size_t begin, size_t end, float* out) const;
 
-  /// True when requests will take the hand-factored SeqFM catalog program
-  /// (the pre-compiler fast path; also the compiled path's first fallback).
-  bool fast_path_active() const { return seqfm_ != nullptr; }
-
-  /// True when requests will execute the compiled op program.
+  /// True when requests will execute the compiled op program (through an
+  /// AcquireContext + ScoreContextRange pair) instead of the generic
+  /// per-chunk rebuild.
   bool compiled_active() const {
     return engine_ != nullptr &&
            !engine_failed_.load(std::memory_order_relaxed);
-  }
-
-  /// True when requests go through an AcquireContext + Score*Range pair
-  /// (compiled or hand-factored) instead of the generic per-chunk rebuild.
-  bool context_path_active() const {
-    return compiled_active() || fast_path_active();
   }
 
   /// The compiled engine, or null when the model did not compile (or
@@ -206,11 +180,11 @@ class Predictor {
   /// construction (ShardedPredictor partitions it instead of re-deriving).
   const std::vector<int32_t>& full_catalog() const { return full_catalog_; }
 
-  /// Non-null iff the context path is active and context_cache_bytes > 0.
+  /// Non-null iff the model compiled and context_cache_bytes > 0.
   const ContextCache* context_cache() const { return cache_.get(); }
 
-  /// Scratch-arena counters for the tape-free scoring scopes (process-wide;
-  /// see core::ScratchStats). In steady state heap_refills stays flat while
+  /// Scratch-arena counters for the eager scoring scopes (process-wide; see
+  /// core::ScratchStats). In steady state heap_refills stays flat while
   /// allocations keeps counting — serving without heap allocations.
   core::ScratchStats scratch_stats() const {
     return core::GlobalScratchStats();
@@ -231,19 +205,20 @@ class Predictor {
   /// engine_failed_. Requires quiesced scoring (same contract as
   /// ReloadCheckpoint).
   void CompileEngine();
+  /// Latches engine_failed_ after a compiled-path failure: warns once and
+  /// drops cached contexts, whose slot tensors no body can now consume.
+  void DisableEngine(const std::string& error) const;
 
   core::Model* model_;
   const data::BatchBuilder* builder_;
   PredictorOptions options_;
-  /// Non-null iff the hand-factored fast path applies to this model+config.
-  core::SeqFm* seqfm_ = nullptr;
   /// Non-null iff the model compiled into a (prologue, body) op program.
   std::unique_ptr<ir::Engine> engine_;
   /// Latched on the first compiled-path failure (a per-count body that does
-  /// not verify); from then on every request takes the fallback paths.
+  /// not verify); from then on every request takes the eager path.
   /// Memory order audit: relaxed is sufficient — the flag is a pure latch
   /// that publishes no data. A thread observing it stale merely retries the
-  /// compiled path and latches again (idempotent); the fallback paths read
+  /// compiled path and latches again (idempotent); the eager path reads
   /// only state that was immutable before serving started. The store in
   /// CompileEngine runs with scoring quiesced (ReloadCheckpoint contract),
   /// so it cannot race a latch.

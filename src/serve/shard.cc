@@ -119,7 +119,7 @@ std::vector<ShardChunk> MakeShardChunks(const std::vector<size_t>& bounds,
 }
 
 void ScoreChunkIntoHeap(const Predictor& predictor,
-                        const core::SharedContext* ctx,
+                        const ir::SharedContext* ctx,
                         const data::SequenceExample& ex,
                         const std::vector<int32_t>& candidates,
                         const ShardChunk& chunk,

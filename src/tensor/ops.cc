@@ -46,22 +46,18 @@ void GemmRowRange(const kernels::KernelTable& kt, const float* a,
                   size_t i1) {
   const size_t rows = i1 - i0;
   const float* arows;
-  // The trans-A pack buffer comes from the thread's scratch arena whenever a
-  // scratch scope is active (serving paths), so steady-state serving stays
-  // heap-allocation-free; training and bare calls keep the heap vector.
+  // The trans-A pack buffer always comes from the thread's scratch arena,
+  // which keeps its blocks across rewinds, so a warm thread packs without
+  // touching the heap. Training's weight-gradient GEMMs pack on every chunk
+  // of every step; a heap buffer per call grows whichever malloc arena the
+  // chunk's thread uses, so peak RSS would depend on which pool thread ran
+  // which chunk.
   core::ScratchArena* arena = nullptr;
   core::ScratchArena::Mark arena_mark;
-  std::vector<float> packed_heap;
   if (trans_a) {
-    float* packed;
-    if (core::ScratchScopeActive()) {
-      arena = &core::ThreadScratchArena();
-      arena_mark = arena->mark();
-      packed = arena->AllocateFloats(rows * k);
-    } else {
-      packed_heap.resize(rows * k);
-      packed = packed_heap.data();
-    }
+    arena = &core::ThreadScratchArena();
+    arena_mark = arena->mark();
+    float* packed = arena->AllocateFloats(rows * k);
     for (size_t p = 0; p < k; ++p) {
       const float* src = a + p * m + i0;
       for (size_t i = 0; i < rows; ++i) packed[i * k + p] = src[i];

@@ -21,12 +21,14 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
     auto eq = arg.find('=');
     if (eq == std::string::npos) {
       values_[arg] = "true";
+      bare_.insert(arg);
     } else {
       std::string name = arg.substr(0, eq);
       if (name.empty()) {
         return Status::InvalidArgument("flag with empty name: --" + arg);
       }
       values_[name] = arg.substr(eq + 1);
+      bare_.erase(name);
     }
   }
   return Status::OK();
@@ -49,7 +51,10 @@ std::vector<std::string> FlagParser::Keys() const {
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& def) const {
   auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  if (it == values_.end()) return def;
+  SEQFM_CHECK(bare_.count(name) == 0)
+      << "flag --" << name << " requires a value (--" << name << "=...)";
+  return it->second;
 }
 
 int64_t FlagParser::GetInt(const std::string& name, int64_t def) const {

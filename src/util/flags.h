@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,8 @@ namespace seqfm {
 /// \brief Minimal command-line flag parser for the bench/example binaries.
 ///
 /// Accepts "--name=value" and bare "--name" (boolean true). Unrecognized
-/// positional arguments are collected in positional().
+/// positional arguments are collected in positional(). A bare flag read as a
+/// string is an error: "--json" must not silently become the path "true".
 class FlagParser {
  public:
   /// Parses argv; returns InvalidArgument on malformed flags.
@@ -22,7 +24,8 @@ class FlagParser {
   /// True if --name was supplied.
   bool Has(const std::string& name) const;
 
-  /// Typed getters with defaults.
+  /// Typed getters with defaults. GetString aborts with an error naming the
+  /// flag when it was given in the bare form (no "=value").
   std::string GetString(const std::string& name, const std::string& def) const;
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;
@@ -36,6 +39,7 @@ class FlagParser {
 
  private:
   std::map<std::string, std::string> values_;
+  std::set<std::string> bare_;  // flags given as "--name" without a value
   std::vector<std::string> positional_;
 };
 

@@ -681,7 +681,6 @@ TEST(CompiledLifecycleTest, OptionOffDisablesTheEngine) {
   serve::Predictor predictor(model.get(), &builder, opts);
   EXPECT_EQ(predictor.engine(), nullptr);
   EXPECT_FALSE(predictor.compiled_active());
-  EXPECT_TRUE(predictor.fast_path_active());  // hand-factored path remains
 }
 
 TEST(CompiledLifecycleTest, SingleObjectCatalogFallsBackToEagerServing) {
@@ -704,6 +703,41 @@ TEST(CompiledLifecycleTest, SingleObjectCatalogFallsBackToEagerServing) {
   const data::Batch batch = ServingBatch(builder, ex, catalog);
   const autograd::Variable taped = model->Score(batch, /*training=*/false);
   ExpectBitEqual(scores.data(), taped.value().data(), 1, "tiny catalog");
+}
+
+TEST(CompiledLifecycleTest, PrepareChunksCompilesEachNewChunkSizeOnce) {
+  // Callers that fan chunks out over the pool compile the bodies for the
+  // chunk sizes first, on their own thread; scoring then compiles nothing.
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  auto model = MakeModelByName("SeqFM", space);
+  serve::PredictorOptions opts;
+  opts.micro_batch = 4;
+  util::SetGlobalThreads(2);
+  serve::Predictor predictor(model.get(), &builder, opts);
+  ASSERT_TRUE(predictor.compiled_active());
+  const size_t initial = predictor.engine()->stats().compiled_counts;
+
+  // 0 needs no body, 1 rides the count-2 body Compile built, and a repeated
+  // size compiles once.
+  predictor.PrepareChunks({4, 3, 4, 1, 0});
+  EXPECT_EQ(predictor.engine()->stats().compiled_counts, initial + 2);
+
+  // Nine candidates in chunks of 4, 4 and 1 find every body compiled.
+  std::vector<int32_t> catalog(space.num_objects());
+  std::iota(catalog.begin(), catalog.end(), 0);
+  const data::SequenceExample ex = TestExamples()[0];
+  const std::vector<float> got = predictor.ScoreCandidates(ex, catalog);
+  EXPECT_EQ(predictor.engine()->stats().compiled_counts, initial + 2);
+  EXPECT_TRUE(predictor.compiled_active());
+
+  const data::Batch batch = ServingBatch(builder, ex, catalog);
+  autograd::NoGradGuard guard;
+  const autograd::Variable want = model->Score(batch, /*training=*/false);
+  ASSERT_EQ(got.size(), want.value().size());
+  ExpectBitEqual(got.data(), want.value().data(), got.size(),
+                 "prepared chunks");
+  util::SetGlobalThreads(1);
 }
 
 TEST(CompiledLifecycleTest, CheckpointReloadRecompilesTheProgram) {

@@ -533,7 +533,7 @@ TEST(SimdServingTest, ScoresBitIdenticalAcrossLevels) {
   ServeFixture fx;
   core::SeqFm model(fx.space, fx.ModelConfig());
   serve::Predictor predictor(&model, &fx.builder);
-  ASSERT_TRUE(predictor.fast_path_active());
+  ASSERT_TRUE(predictor.compiled_active());
   const auto& ex = fx.dataset.train().front();
   std::vector<int32_t> candidates;
   for (int32_t i = 0; i < 40; ++i) candidates.push_back(i % 20);
@@ -553,7 +553,7 @@ TEST(SimdServingTest, SteadyStateServingPerformsZeroTensorHeapAllocations) {
   // once the context cache is warm, a Predictor request must not touch the
   // heap for tensor data at all. The compiled op program executes inside
   // preallocated thread-local frames (it does not even need the scratch
-  // arena); the hand-factored eager path draws every op output from the
+  // arena); the eager parity-oracle path draws every op output from the
   // thread's warm arena instead.
   ServeFixture fx;
   core::SeqFm model(fx.space, fx.ModelConfig());
@@ -569,9 +569,9 @@ TEST(SimdServingTest, SteadyStateServingPerformsZeroTensorHeapAllocations) {
     opts.context_cache_bytes = 1 << 20;
     opts.use_compiled_program = compiled;
     serve::Predictor predictor(&model, &fx.builder, opts);
-    ASSERT_TRUE(predictor.fast_path_active());
     ASSERT_EQ(predictor.compiled_active(), compiled);
-    ASSERT_NE(predictor.context_cache(), nullptr);
+    // The cache fronts the compiled prologue; eager serving has no context.
+    ASSERT_EQ(predictor.context_cache() != nullptr, compiled);
 
     for (int warm = 0; warm < 3; ++warm) {
       (void)predictor.TopK(ex, candidates, 5);
@@ -599,17 +599,23 @@ TEST(SimdServingTest, SteadyStateServingPerformsZeroTensorHeapAllocations) {
 }
 
 TEST(SimdServingTest, BatchServerReportsScratchStats) {
+  // The counters are process-wide, so assert on this request's delta: the
+  // eager path (the one that draws from the arena) must bump them even when
+  // this test runs alone.
   ServeFixture fx;
   core::SeqFm model(fx.space, fx.ModelConfig());
-  serve::Predictor predictor(&model, &fx.builder);
+  serve::PredictorOptions opts;
+  opts.use_compiled_program = false;
+  serve::Predictor predictor(&model, &fx.builder, opts);
   serve::BatchServer server(&predictor);
+  const core::ScratchStats before = server.stats().scratch;
   std::vector<int32_t> candidates = {0, 1, 2, 3, 4, 5, 6, 7};
   auto fut = server.Submit(fx.dataset.train().front(), candidates, 3);
   ASSERT_EQ(fut.get().size(), 3u);
-  const auto stats = server.stats();
-  EXPECT_GT(stats.scratch.allocations, 0u);
-  EXPECT_GT(stats.scratch.bytes_reserved, 0u);
-  EXPECT_GT(stats.scratch.high_water, 0u);
+  const core::ScratchStats after = server.stats().scratch;
+  EXPECT_GT(after.allocations, before.allocations);
+  EXPECT_GT(after.bytes_reserved, 0u);
+  EXPECT_GT(after.high_water, 0u);
 }
 
 TEST(SimdTrainingTest, LossCurveIdenticalAcrossSimdLevels) {

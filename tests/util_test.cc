@@ -482,6 +482,28 @@ TEST(FlagParserTest, ExplicitFalse) {
   EXPECT_FALSE(flags.GetBool("x", true));
 }
 
+TEST(FlagParserTest, BareFlagIsABoolButNotAString) {
+  // A bare path flag must not read back as the path "true" (a bare --json
+  // would write ./true). GetBool keeps the bare form; GetString refuses it,
+  // naming the flag.
+  const char* argv[] = {"prog", "--json", "--out=", "--checkpoint=a",
+                        "--checkpoint"};
+  FlagParser flags;
+  ASSERT_TRUE(flags.Parse(5, argv).ok());
+  EXPECT_TRUE(flags.Has("json"));
+  EXPECT_TRUE(flags.GetBool("json", false));
+  EXPECT_EQ(flags.GetString("out", "default"), "");  // explicit empty value
+  EXPECT_DEATH((void)flags.GetString("json", ""),
+               "flag --json requires a value");
+  // The last occurrence wins, bare or not.
+  EXPECT_DEATH((void)flags.GetString("checkpoint", ""),
+               "flag --checkpoint requires a value");
+  const char* argv2[] = {"prog", "--json", "--json=out.json"};
+  FlagParser later_value;
+  ASSERT_TRUE(later_value.Parse(3, argv2).ok());
+  EXPECT_EQ(later_value.GetString("json", ""), "out.json");
+}
+
 TEST(FlagParserTest, RejectsMalformed) {
   const char* argv1[] = {"prog", "--"};
   FlagParser f1;
