@@ -2,7 +2,6 @@
 #define SEQFM_AUTOGRAD_OPS_COMMON_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "autograd/trace.h"
@@ -20,23 +19,23 @@ using util::GrainForRows;
 using util::kEwGrain;
 using util::kMathGrain;
 
-/// Allocates an op node: requires_grad is inherited from the parents, the
-/// backward closure is attached by the caller after construction.
+/// Allocates an op node of kind \p kind: requires_grad is inherited from the
+/// parents, the backward closure is attached by the caller after
+/// construction. The kind only reaches the tracer; the node does not keep it.
 ///
 /// When the thread's grad mode is off (NoGradGuard), the node is detached:
 /// parents are dropped and requires_grad stays false, so the graph is never
 /// retained and every op file's `if (node->requires_grad)` backward guard
 /// skips closure construction and tape buffers. Callers must gate backward
 /// attachment on node->requires_grad, never on the parents directly.
-inline NodePtr MakeNode(std::string op, std::vector<NodePtr> parents,
+inline NodePtr MakeNode(OpKind kind, std::vector<NodePtr> parents,
                         tensor::Tensor value,
                         const TraceAttrs* attrs = nullptr) {
   auto node = std::make_shared<Node>();
-  node->op = std::move(op);
   node->value = std::move(value);
   // The IR tracer sees every op here, before the no-grad early return drops
   // the parents (tracing always runs tape-free).
-  if (TracingActive()) TraceRecord(node, parents, attrs);
+  if (TracingActive()) TraceRecord(kind, node, parents, attrs);
   if (!GradMode()) return node;
   node->parents = std::move(parents);
   for (const auto& p : node->parents) {

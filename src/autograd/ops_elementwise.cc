@@ -14,7 +14,7 @@ using tensor::Tensor;
 Variable Add(const Variable& a, const Variable& b) {
   Tensor out = internal::OutputBuffer(a.value().shape());
   tensor::Add(a.value(), b.value(), &out);
-  auto node = MakeNode("add", {a.node(), b.node()}, std::move(out));
+  auto node = MakeNode(OpKind::kAdd, {a.node(), b.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self]() {
     for (int i = 0; i < 2; ++i) {
@@ -28,7 +28,7 @@ Variable Add(const Variable& a, const Variable& b) {
 Variable Sub(const Variable& a, const Variable& b) {
   Tensor out = internal::OutputBuffer(a.value().shape());
   tensor::Sub(a.value(), b.value(), &out);
-  auto node = MakeNode("sub", {a.node(), b.node()}, std::move(out));
+  auto node = MakeNode(OpKind::kSub, {a.node(), b.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self]() {
     Node* pa = self->parents[0].get();
@@ -45,7 +45,7 @@ Variable Sub(const Variable& a, const Variable& b) {
 Variable Mul(const Variable& a, const Variable& b) {
   Tensor out = internal::OutputBuffer(a.value().shape());
   tensor::Mul(a.value(), b.value(), &out);
-  auto node = MakeNode("mul", {a.node(), b.node()}, std::move(out));
+  auto node = MakeNode(OpKind::kMul, {a.node(), b.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self]() {
     Node* pa = self->parents[0].get();
@@ -76,18 +76,10 @@ Variable Mul(const Variable& a, const Variable& b) {
 
 Variable Scale(const Variable& a, float alpha) {
   Tensor out = internal::OutputBuffer(a.value().shape());
-  {
-    const float* x = a.value().data();
-    float* y = out.data();
-    const size_t n = out.size();
-    const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-    util::ParallelFor(n, internal::kEwGrain, [=, &kt](size_t i0, size_t i1) {
-      kt.scale(alpha, x + i0, y + i0, i1 - i0);
-    });
-  }
+  tensor::Scale(a.value(), alpha, &out);
   TraceAttrs attrs;
   attrs.alpha = alpha;
-  auto node = MakeNode("scale", {a.node()}, std::move(out), &attrs);
+  auto node = MakeNode(OpKind::kScale, {a.node()}, std::move(out), &attrs);
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, alpha]() {
     Node* p = self->parents[0].get();
@@ -101,14 +93,10 @@ Variable Scale(const Variable& a, float alpha) {
 
 Variable AddScalar(const Variable& a, float alpha) {
   Tensor out = internal::OutputBuffer(a.value().shape());
-  {
-    const float* x = a.value().data();
-    float* y = out.data();
-    for (size_t i = 0; i < out.size(); ++i) y[i] = x[i] + alpha;
-  }
+  tensor::AddScalar(a.value(), alpha, &out);
   TraceAttrs attrs;
   attrs.alpha = alpha;
-  auto node = MakeNode("add_scalar", {a.node()}, std::move(out), &attrs);
+  auto node = MakeNode(OpKind::kAddScalar, {a.node()}, std::move(out), &attrs);
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self]() {
     Node* p = self->parents[0].get();
@@ -120,7 +108,8 @@ Variable AddScalar(const Variable& a, float alpha) {
 Variable AddBias(const Variable& x, const Variable& bias) {
   Tensor out = internal::OutputBuffer(x.value().shape());
   tensor::AddBiasLastDim(x.value(), bias.value(), &out);
-  auto node = MakeNode("add_bias", {x.node(), bias.node()}, std::move(out));
+  auto node = MakeNode(OpKind::kAddBias,
+                       {x.node(), bias.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self]() {
     Node* px = self->parents[0].get();
@@ -147,17 +136,9 @@ Variable AddBroadcastBatch(const Variable& x, const Variable& table) {
   SEQFM_CHECK_EQ(x.dim(2), table.dim(1));
   const size_t batch = x.dim(0), rows = x.dim(1), d = x.dim(2);
   Tensor out = internal::OutputBuffer(x.value().shape());
-  const float* src = table.value().data();
-  util::ParallelFor(batch, internal::GrainForRows(rows * d, internal::kEwGrain),
-                    [&out, &x, src, rows, d](size_t b0, size_t b1) {
-    for (size_t b = b0; b < b1; ++b) {
-      const float* xb = x.value().BatchData(b);
-      float* dst = out.BatchData(b);
-      for (size_t i = 0; i < rows * d; ++i) dst[i] = xb[i] + src[i];
-    }
-  });
-  auto node =
-      MakeNode("add_broadcast_batch", {x.node(), table.node()}, std::move(out));
+  tensor::AddBroadcastBatch(x.value(), table.value(), &out);
+  auto node = MakeNode(OpKind::kAddBroadcastBatch,
+                       {x.node(), table.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, rows, d]() {
     Node* px = self->parents[0].get();
@@ -180,7 +161,7 @@ Variable AddBroadcastBatch(const Variable& x, const Variable& table) {
 Variable Relu(const Variable& x) {
   Tensor out = internal::OutputBuffer(x.value().shape());
   tensor::Relu(x.value(), &out);
-  auto node = MakeNode("relu", {x.node()}, std::move(out));
+  auto node = MakeNode(OpKind::kRelu, {x.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self]() {
     Node* p = self->parents[0].get();
@@ -202,7 +183,7 @@ Variable Relu(const Variable& x) {
 Variable Sigmoid(const Variable& x) {
   Tensor out = internal::OutputBuffer(x.value().shape());
   tensor::Sigmoid(x.value(), &out);
-  auto node = MakeNode("sigmoid", {x.node()}, std::move(out));
+  auto node = MakeNode(OpKind::kSigmoid, {x.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self]() {
     Node* p = self->parents[0].get();
@@ -222,7 +203,7 @@ Variable Sigmoid(const Variable& x) {
 Variable Tanh(const Variable& x) {
   Tensor out = internal::OutputBuffer(x.value().shape());
   tensor::Tanh(x.value(), &out);
-  auto node = MakeNode("tanh", {x.node()}, std::move(out));
+  auto node = MakeNode(OpKind::kTanh, {x.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self]() {
     Node* p = self->parents[0].get();

@@ -22,7 +22,8 @@ Variable BprLoss(const Variable& pos, const Variable& neg) {
     total += -tensor::LogSigmoid(diff);
   }
   out.at(0) = total / static_cast<float>(batch);
-  auto node = MakeNode("bpr_loss", {pos.node(), neg.node()}, std::move(out));
+  auto node = MakeNode(OpKind::kBprLoss,
+                       {pos.node(), neg.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch]() {
     Node* pp = self->parents[0].get();
@@ -61,7 +62,7 @@ Variable BceWithLogitsLoss(const Variable& logits,
     total += m - y * x + std::log1p(std::exp(-std::abs(x)));
   }
   out.at(0) = total / static_cast<float>(batch);
-  auto node = MakeNode("bce_loss", {logits.node()}, std::move(out));
+  auto node = MakeNode(OpKind::kBceLoss, {logits.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, labels, batch]() {
     Node* p = self->parents[0].get();
@@ -88,7 +89,7 @@ Variable MseLoss(const Variable& pred, const std::vector<float>& targets) {
     total += e * e;
   }
   out.at(0) = total / static_cast<float>(batch);
-  auto node = MakeNode("mse_loss", {pred.node()}, std::move(out));
+  auto node = MakeNode(OpKind::kMseLoss, {pred.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, targets, batch]() {
     Node* p = self->parents[0].get();

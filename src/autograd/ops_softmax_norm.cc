@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -19,7 +18,8 @@ Variable MaskedSoftmax(const Variable& x, const Variable& mask) {
   tensor::SoftmaxLastDim(x.value(), mask_tensor, &out);
   std::vector<NodePtr> parents = {x.node()};
   if (mask.defined()) parents.push_back(mask.node());
-  auto node = MakeNode("masked_softmax", std::move(parents), std::move(out));
+  auto node = MakeNode(OpKind::kMaskedSoftmax,
+                       std::move(parents), std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self]() {
     Node* px = self->parents[0].get();
@@ -51,8 +51,6 @@ Variable MaskedSoftmax(const Variable& x, const Variable& mask) {
 Variable LayerNorm(const Variable& x, const Variable& gamma,
                    const Variable& beta, float eps) {
   const size_t d = x.value().shape().back();
-  SEQFM_CHECK_EQ(gamma.value().size(), d);
-  SEQFM_CHECK_EQ(beta.value().size(), d);
   const size_t rows = x.value().size() / d;
 
   // The normalized activations and per-row inverse stddev are tape state:
@@ -62,34 +60,15 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
   Tensor out = internal::OutputBuffer(x.value().shape());
   Tensor xhat = tape ? Tensor(x.value().shape()) : Tensor();
   std::vector<float> inv_std(tape ? rows : 0);
-  const float* xv = x.value().data();
-  const float* gv = gamma.value().data();
-  const float* bv = beta.value().data();
-  float* xhat_data = tape ? xhat.data() : nullptr;
-  float* out_data = out.data();
-  float* inv_std_data = tape ? inv_std.data() : nullptr;
-  // Mean and variance use the dispatched lane-blocked reductions; the
-  // normalize/affine pass is the dispatched row map. Identical bits at every
-  // SIMD level and thread count.
-  const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-  util::ParallelFor(rows, internal::GrainForRows(d, internal::kMathGrain),
-                    [=, &kt](size_t r0, size_t r1) {
-    for (size_t r = r0; r < r1; ++r) {
-      const float* xr = xv + r * d;
-      const float mean = kt.reduce_sum(xr, d) / static_cast<float>(d);
-      const float var =
-          kt.reduce_sum_sq_diff(xr, mean, d) / static_cast<float>(d);
-      const float is = 1.0f / std::sqrt(var + eps);
-      if (inv_std_data != nullptr) inv_std_data[r] = is;
-      kt.layer_norm_row(xr, gv, bv, mean, is, d, out_data + r * d,
-                        xhat_data != nullptr ? xhat_data + r * d : nullptr);
-    }
-  });
+  tensor::LayerNormLastDim(x.value(), gamma.value(), beta.value(), eps, &out,
+                           tape ? &xhat : nullptr,
+                           tape ? inv_std.data() : nullptr);
 
   TraceAttrs attrs;
   attrs.eps = eps;
-  auto node = MakeNode("layer_norm", {x.node(), gamma.node(), beta.node()},
-                       std::move(out), &attrs);
+  auto node = MakeNode(OpKind::kLayerNorm,
+                       {x.node(), gamma.node(), beta.node()}, std::move(out),
+                       &attrs);
   Node* self = node.get();
   if (node->requires_grad)
     node->backward_fn = [self, d, rows, xhat = std::move(xhat),
@@ -190,7 +169,7 @@ Variable Dropout(const Variable& x, float keep_prob, bool training, Rng* rng) {
   }
   Tensor out = internal::OutputBuffer(x.value().shape());
   tensor::Mul(x.value(), mask, &out);
-  auto node = MakeNode("dropout", {x.node()}, std::move(out));
+  auto node = MakeNode(OpKind::kDropout, {x.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad)
     node->backward_fn = [self, mask = std::move(mask)]() {

@@ -13,25 +13,19 @@ Variable ConcatLastDim(const std::vector<Variable>& parts) {
   const size_t batch = parts[0].dim(0);
   size_t total = 0;
   std::vector<NodePtr> parents;
+  std::vector<const Tensor*> values;
   parents.reserve(parts.size());
+  values.reserve(parts.size());
   for (const auto& p : parts) {
     SEQFM_CHECK_EQ(p.rank(), 2u);
     SEQFM_CHECK_EQ(p.dim(0), batch);
     total += p.dim(1);
     parents.push_back(p.node());
+    values.push_back(&p.value());
   }
   Tensor out = internal::OutputBuffer({batch, total});
-  size_t offset = 0;
-  for (const auto& p : parts) {
-    const size_t d = p.dim(1);
-    for (size_t b = 0; b < batch; ++b) {
-      const float* src = p.value().data() + b * d;
-      float* dst = out.data() + b * total + offset;
-      for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-    }
-    offset += d;
-  }
-  auto node = MakeNode("concat_last", std::move(parents), std::move(out));
+  tensor::ConcatLastDim(values, &out);
+  auto node = MakeNode(OpKind::kConcatLast, std::move(parents), std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, total]() {
     size_t offset = 0;
@@ -59,14 +53,9 @@ Variable ConcatAxis1(const Variable& a, const Variable& b) {
   SEQFM_CHECK_EQ(a.dim(2), b.dim(2));
   const size_t batch = a.dim(0), na = a.dim(1), nb = b.dim(1), d = a.dim(2);
   Tensor out = internal::OutputBuffer({batch, na + nb, d});
-  for (size_t i = 0; i < batch; ++i) {
-    float* dst = out.BatchData(i);
-    const float* sa = a.value().BatchData(i);
-    const float* sb = b.value().BatchData(i);
-    for (size_t j = 0; j < na * d; ++j) dst[j] = sa[j];
-    for (size_t j = 0; j < nb * d; ++j) dst[na * d + j] = sb[j];
-  }
-  auto node = MakeNode("concat_axis1", {a.node(), b.node()}, std::move(out));
+  tensor::ConcatAxis1(a.value(), b.value(), &out);
+  auto node = MakeNode(OpKind::kConcatAxis1,
+                       {a.node(), b.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, na, nb, d]() {
     Node* pa = self->parents[0].get();
@@ -89,14 +78,15 @@ Variable ConcatAxis1(const Variable& a, const Variable& b) {
 }
 
 namespace {
-Variable ReduceAxis1(const Variable& x, float scale, const char* name) {
+Variable ReduceAxis1(const Variable& x, float scale) {
   SEQFM_CHECK_EQ(x.rank(), 3u);
   const size_t batch = x.dim(0), rows = x.dim(1), d = x.dim(2);
   Tensor out = internal::OutputBuffer({batch, d});
   tensor::SumAxis1(x.value(), scale, &out);
   TraceAttrs attrs;
   attrs.alpha = scale;
-  auto node = MakeNode(name, {x.node()}, std::move(out), &attrs);
+  auto node =
+      MakeNode(OpKind::kReduceAxis1, {x.node()}, std::move(out), &attrs);
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, rows, d, scale]() {
     Node* p = self->parents[0].get();
@@ -117,24 +107,19 @@ Variable ReduceAxis1(const Variable& x, float scale, const char* name) {
 
 Variable MeanAxis1(const Variable& x, float divisor) {
   SEQFM_CHECK_GT(divisor, 0.0f);
-  return ReduceAxis1(x, 1.0f / divisor, "mean_axis1");
+  return ReduceAxis1(x, 1.0f / divisor);
 }
 
-Variable SumAxis1(const Variable& x) { return ReduceAxis1(x, 1.0f, "sum_axis1"); }
+Variable SumAxis1(const Variable& x) { return ReduceAxis1(x, 1.0f); }
 
 Variable SliceRow(const Variable& x, size_t row) {
   SEQFM_CHECK_EQ(x.rank(), 3u);
-  SEQFM_CHECK_LT(row, x.dim(1));
   const size_t batch = x.dim(0), d = x.dim(2);
   Tensor out = internal::OutputBuffer({batch, d});
-  for (size_t b = 0; b < batch; ++b) {
-    const float* src = x.value().BatchData(b) + row * d;
-    float* dst = out.data() + b * d;
-    for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-  }
+  tensor::SliceRow(x.value(), row, &out);
   TraceAttrs attrs;
   attrs.row = row;
-  auto node = MakeNode("slice_row", {x.node()}, std::move(out), &attrs);
+  auto node = MakeNode(OpKind::kSliceRow, {x.node()}, std::move(out), &attrs);
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, row, d]() {
     Node* p = self->parents[0].get();
@@ -156,7 +141,7 @@ Variable SumLastDimKeep(const Variable& x) {
   out_shape.back() = 1;
   Tensor out = internal::OutputBuffer(out_shape);
   tensor::SumLastDim(x.value(), &out);
-  auto node = MakeNode("sum_last", {x.node()}, std::move(out));
+  auto node = MakeNode(OpKind::kSumLast, {x.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, rows, d]() {
     Node* p = self->parents[0].get();
@@ -172,27 +157,15 @@ Variable SumLastDimKeep(const Variable& x) {
 }
 
 Variable Reshape(const Variable& x, std::vector<size_t> shape) {
-  Tensor out;
-  if (GradMode()) {
-    // Taped path: the historical single-pass copy-construct.
-    out = x.value();
-    SEQFM_CHECK(out.ReshapeInPlace(std::move(shape)).ok())
-        << "reshape must preserve element count";
-  } else {
-    // Tape-free path: copy through OutputBuffer so the buffer comes from
-    // the scratch arena (reshape is all over the eager serving forwards)
-    // rather than the heap, and skips the zero-fill.
-    size_t count = 1;
-    for (size_t d : shape) count *= d;
-    SEQFM_CHECK_EQ(count, x.value().size())
-        << "reshape must preserve element count";
-    out = internal::OutputBuffer(std::move(shape));
-    const float* src = x.value().data();
-    float* dst = out.data();
-    const size_t n = out.size();
-    for (size_t i = 0; i < n; ++i) dst[i] = src[i];
-  }
-  auto node = MakeNode("reshape", {x.node()}, std::move(out));
+  size_t count = 1;
+  for (size_t d : shape) count *= d;
+  SEQFM_CHECK_EQ(count, x.value().size())
+      << "reshape must preserve element count";
+  // A copy through OutputBuffer: tape-free, the buffer comes from the
+  // scratch arena (reshape is all over the eager serving forwards).
+  Tensor out = internal::OutputBuffer(std::move(shape));
+  tensor::Copy(x.value(), &out);
+  auto node = MakeNode(OpKind::kReshape, {x.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self]() {
     Node* p = self->parents[0].get();
@@ -212,14 +185,8 @@ Variable ExpandRows(const Variable& x, size_t n) {
   SEQFM_CHECK_GT(n, 0u);
   const size_t batch = x.dim(0), d = x.dim(1);
   Tensor out = internal::OutputBuffer({batch, n, d});
-  for (size_t b = 0; b < batch; ++b) {
-    const float* src = x.value().data() + b * d;
-    float* dst = out.BatchData(b);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < d; ++j) dst[i * d + j] = src[j];
-    }
-  }
-  auto node = MakeNode("expand_rows", {x.node()}, std::move(out));
+  tensor::ExpandRows(x.value(), &out);
+  auto node = MakeNode(OpKind::kExpandRows, {x.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, n, d]() {
     Node* p = self->parents[0].get();
@@ -237,10 +204,10 @@ Variable ExpandRows(const Variable& x, size_t n) {
 }
 
 namespace {
-Variable ReduceAll(const Variable& x, float scale, const char* name) {
+Variable ReduceAll(const Variable& x, float scale, OpKind kind) {
   Tensor out = internal::OutputBuffer({1});
   out.at(0) = tensor::SumAll(x.value()) * scale;
-  auto node = MakeNode(name, {x.node()}, std::move(out));
+  auto node = MakeNode(kind, {x.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, scale]() {
     Node* p = self->parents[0].get();
@@ -255,10 +222,13 @@ Variable ReduceAll(const Variable& x, float scale, const char* name) {
 }
 }  // namespace
 
-Variable SumAll(const Variable& x) { return ReduceAll(x, 1.0f, "sum_all"); }
+Variable SumAll(const Variable& x) {
+  return ReduceAll(x, 1.0f, OpKind::kSumAll);
+}
 
 Variable MeanAll(const Variable& x) {
-  return ReduceAll(x, 1.0f / static_cast<float>(x.value().size()), "mean_all");
+  return ReduceAll(x, 1.0f / static_cast<float>(x.value().size()),
+                   OpKind::kMeanAll);
 }
 
 Variable PairwiseProductUpper(const Variable& x) {
@@ -267,20 +237,8 @@ Variable PairwiseProductUpper(const Variable& x) {
   SEQFM_CHECK_GE(n, 2u);
   const size_t pairs = n * (n - 1) / 2;
   Tensor out = internal::OutputBuffer({batch, pairs, d});
-  for (size_t b = 0; b < batch; ++b) {
-    const float* src = x.value().BatchData(b);
-    float* dst = out.BatchData(b);
-    size_t p = 0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j, ++p) {
-        const float* xi = src + i * d;
-        const float* xj = src + j * d;
-        float* row = dst + p * d;
-        for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
-      }
-    }
-  }
-  auto node = MakeNode("pairwise_upper", {x.node()}, std::move(out));
+  tensor::PairwiseProductUpper(x.value(), &out);
+  auto node = MakeNode(OpKind::kPairwiseUpper, {x.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, n, d]() {
     Node* px = self->parents[0].get();
@@ -316,20 +274,9 @@ Variable PairwiseProductCross(const Variable& a, const Variable& b) {
   SEQFM_CHECK_EQ(a.dim(2), b.dim(2));
   const size_t batch = a.dim(0), h = a.dim(1), m = b.dim(1), d = a.dim(2);
   Tensor out = internal::OutputBuffer({batch, h * m, d});
-  for (size_t bt = 0; bt < batch; ++bt) {
-    const float* sa = a.value().BatchData(bt);
-    const float* sb = b.value().BatchData(bt);
-    float* dst = out.BatchData(bt);
-    for (size_t i = 0; i < h; ++i) {
-      for (size_t j = 0; j < m; ++j) {
-        const float* xi = sa + i * d;
-        const float* xj = sb + j * d;
-        float* row = dst + (i * m + j) * d;
-        for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
-      }
-    }
-  }
-  auto node = MakeNode("pairwise_cross", {a.node(), b.node()}, std::move(out));
+  tensor::PairwiseProductCross(a.value(), b.value(), &out);
+  auto node = MakeNode(OpKind::kPairwiseCross,
+                       {a.node(), b.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, h, m, d]() {
     Node* pa = self->parents[0].get();

@@ -48,40 +48,19 @@ struct TraceAttrs {
 /// True when the current thread has a recording sink armed.
 bool TracingActive();
 
-/// Records one executed op into the active sink (no-op when none is armed).
-/// \p parents is the op's input nodes in positional order; \p node already
-/// carries op name and output value.
-void TraceRecord(const NodePtr& node, const std::vector<NodePtr>& parents,
-                 const TraceAttrs* attrs);
-
-/// How a Variable::Constant reachable from a serving forward may be handled
-/// by the compiler. Constants with no annotation poison the trace (the
-/// tracer cannot know whether their value depends on the request), which
-/// makes the predictor fall back to the eager path for that model.
-enum class ConstantKind : uint8_t {
-  /// Fixed at model construction (causal/cross/zero masks): the compiler
-  /// captures the tensor by value.
-  kCaptureValue = 0,
-  /// nn::MakeBatchPaddingMask(dynamic_ids, batch, n, causal): depends only
-  /// on the request history; re-materialized by the executor.
-  kPaddingMask = 1,
-  /// nn::MakeHistoryPaddingMask(dynamic_ids, batch, n) ([batch, n] additive
-  /// mask, DIN): depends only on the request history.
-  kHistoryMask = 2,
-  /// core::SeqFm's padding-aware cross-attention mask
-  /// ([2, 2 + n] additive mask): depends only on the request history.
-  kCrossPaddingMask = 3,
-  /// Tensor::Zeros of a batch-scaled shape (GRU initial state).
-  kZeroState = 4,
-};
+/// Records one executed op of kind \p kind into the active sink (no-op when
+/// none is armed). \p parents is the op's input nodes in positional order;
+/// \p node already carries the output value.
+void TraceRecord(OpKind kind, const NodePtr& node,
+                 const std::vector<NodePtr>& parents, const TraceAttrs* attrs);
 
 /// Declares how the constant \p v was built so the tracer can classify it.
-/// For the input-derived kinds the builder passes the same \p causal flag it
-/// was called with (unused otherwise). The annotation is stamped on the node
-/// itself — not the sink — so constants built at model-construction time,
-/// before any trace exists, are classified correctly by every later trace.
-void TraceAnnotateConstant(const Variable& v, ConstantKind kind,
-                           bool causal = false);
+/// The annotation is stamped on the node itself — not the sink — so
+/// constants built at model-construction time, before any trace exists, are
+/// classified correctly by every later trace.
+inline void TraceAnnotateConstant(const Variable& v, ConstantKind kind) {
+  v.node()->constant = kind;
+}
 
 }  // namespace autograd
 }  // namespace seqfm

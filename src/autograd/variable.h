@@ -3,9 +3,9 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
+#include "autograd/op_kind.h"
 #include "tensor/tensor.h"
 
 namespace seqfm {
@@ -24,8 +24,9 @@ class Node {
   tensor::Tensor grad;
   bool requires_grad = false;
   bool grad_allocated = false;
-  /// Op name for debugging ("matmul", "softmax", ...; empty for leaves).
-  std::string op;
+  /// Leaves only: how the serving tracer treats this constant
+  /// (autograd::TraceAnnotateConstant).
+  ConstantKind constant = ConstantKind::kNone;
   std::vector<std::shared_ptr<Node>> parents;
   /// Pushes this->grad into parents. Null for leaves.
   std::function<void()> backward_fn;

@@ -1,14 +1,13 @@
 #include "ir/exec.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "ir/passes.h"
 #include "ir/trace.h"
 #include "ir/verify.h"
-#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/ordered_mutex.h"
@@ -18,11 +17,10 @@ namespace seqfm {
 namespace ir {
 
 // ---------------------------------------------------------------------------
-// EvalPure: one instruction, replicated from the eager forward it was traced
-// from. Every loop mirrors its src/autograd/ops_*.cc counterpart exactly —
-// same kernel-table calls, same ParallelFor grains, same serial reductions —
-// which is what makes compiled scores bit-identical to the taped forward at
-// every thread count and SIMD level.
+// EvalPure: one instruction, one call. Each case is the tensor:: kernel the
+// eager op it was traced from calls (src/autograd/ops_*.cc), so compiled
+// scores are bit-identical to the taped forward at every thread count and
+// SIMD level by construction.
 // ---------------------------------------------------------------------------
 
 bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
@@ -37,41 +35,18 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
     case OpKind::kMul:
       tensor::Mul(*in[0], *in[1], out);
       return true;
-    case OpKind::kScale: {
-      const float* x = in[0]->data();
-      float* y = out->data();
-      const size_t n = out->size();
-      const float alpha = instr.alpha;
-      const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-      util::ParallelFor(n, util::kEwGrain, [=, &kt](size_t i0, size_t i1) {
-        kt.scale(alpha, x + i0, y + i0, i1 - i0);
-      });
+    case OpKind::kScale:
+      tensor::Scale(*in[0], instr.alpha, out);
       return true;
-    }
-    case OpKind::kAddScalar: {
-      const float* x = in[0]->data();
-      float* y = out->data();
-      const float alpha = instr.alpha;
-      for (size_t i = 0; i < out->size(); ++i) y[i] = x[i] + alpha;
+    case OpKind::kAddScalar:
+      tensor::AddScalar(*in[0], instr.alpha, out);
       return true;
-    }
     case OpKind::kAddBias:
       tensor::AddBiasLastDim(*in[0], *in[1], out);
       return true;
-    case OpKind::kAddBroadcastBatch: {
-      const tensor::Tensor& x = *in[0];
-      const size_t batch = x.dim(0), rows = x.dim(1), d = x.dim(2);
-      const float* src = in[1]->data();
-      util::ParallelFor(batch, util::GrainForRows(rows * d, util::kEwGrain),
-                        [out, &x, src, rows, d](size_t b0, size_t b1) {
-        for (size_t b = b0; b < b1; ++b) {
-          const float* xb = x.BatchData(b);
-          float* dst = out->BatchData(b);
-          for (size_t i = 0; i < rows * d; ++i) dst[i] = xb[i] + src[i];
-        }
-      });
+    case OpKind::kAddBroadcastBatch:
+      tensor::AddBroadcastBatch(*in[0], *in[1], out);
       return true;
-    }
     case OpKind::kRelu:
       tensor::Relu(*in[0], out);
       return true;
@@ -90,157 +65,46 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
     case OpKind::kBmm:
       tensor::BatchedMatMul(*in[0], *in[1], out, instr.trans_a, instr.trans_b);
       return true;
-    case OpKind::kBmmLeftShared: {
-      const tensor::Tensor& w = *in[0];
-      const tensor::Tensor& p = *in[1];
-      const size_t batch = p.dim(0);
-      const size_t h2 = w.dim(0), h = w.dim(1), d = p.dim(2);
-      util::ParallelFor(batch,
-                        util::GrainForRows(h2 * h * d, util::kMinParallelWork),
-                        [&, h2, h, d](size_t b0, size_t b1) {
-        for (size_t b = b0; b < b1; ++b) {
-          tensor::Gemm(w.data(), p.BatchData(b), out->BatchData(b), h2, h, d,
-                       false, false, false);
-        }
-      });
+    case OpKind::kBmmLeftShared:
+      tensor::BatchedMatMulLeftShared(*in[0], *in[1], out);
       return true;
-    }
-    case OpKind::kRowDot: {
-      const size_t batch = in[0]->dim(0), d = in[0]->dim(1);
-      const float* av = in[0]->data();
-      const float* bv = in[1]->data();
-      float* out_data = out->data();
-      const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-      util::ParallelFor(batch, util::GrainForRows(d, util::kEwGrain),
-                        [=, &kt](size_t i0, size_t i1) {
-        for (size_t i = i0; i < i1; ++i) {
-          out_data[i] = kt.dot(av + i * d, bv + i * d, d);
-        }
-      });
+    case OpKind::kRowDot:
+      tensor::RowDot(*in[0], *in[1], out);
       return true;
-    }
     case OpKind::kMaskedSoftmax:
       tensor::SoftmaxLastDim(*in[0], in.size() > 1 ? in[1] : nullptr, out);
       return true;
-    case OpKind::kLayerNorm: {
-      const size_t d = in[0]->shape().back();
-      const size_t rows = in[0]->size() / d;
-      const float* xv = in[0]->data();
-      const float* gv = in[1]->data();
-      const float* bv = in[2]->data();
-      float* out_data = out->data();
-      const float eps = instr.eps;
-      const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-      util::ParallelFor(rows, util::GrainForRows(d, util::kMathGrain),
-                        [=, &kt](size_t r0, size_t r1) {
-        for (size_t r = r0; r < r1; ++r) {
-          const float* xr = xv + r * d;
-          const float mean = kt.reduce_sum(xr, d) / static_cast<float>(d);
-          const float var =
-              kt.reduce_sum_sq_diff(xr, mean, d) / static_cast<float>(d);
-          const float is = 1.0f / std::sqrt(var + eps);
-          kt.layer_norm_row(xr, gv, bv, mean, is, d, out_data + r * d,
-                            nullptr);
-        }
-      });
+    case OpKind::kLayerNorm:
+      tensor::LayerNormLastDim(*in[0], *in[1], *in[2], instr.eps, out);
       return true;
-    }
-    case OpKind::kConcatLast: {
-      const size_t batch = out->dim(0), total = out->dim(1);
-      size_t offset = 0;
-      for (const tensor::Tensor* p : in) {
-        const size_t d = p->dim(1);
-        for (size_t b = 0; b < batch; ++b) {
-          const float* src = p->data() + b * d;
-          float* dst = out->data() + b * total + offset;
-          for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-        }
-        offset += d;
-      }
+    case OpKind::kConcatLast:
+      tensor::ConcatLastDim(in, out);
       return true;
-    }
-    case OpKind::kConcatAxis1: {
-      const size_t batch = in[0]->dim(0), na = in[0]->dim(1),
-                   nb = in[1]->dim(1), d = in[0]->dim(2);
-      for (size_t i = 0; i < batch; ++i) {
-        float* dst = out->BatchData(i);
-        const float* sa = in[0]->BatchData(i);
-        const float* sb = in[1]->BatchData(i);
-        for (size_t j = 0; j < na * d; ++j) dst[j] = sa[j];
-        for (size_t j = 0; j < nb * d; ++j) dst[na * d + j] = sb[j];
-      }
+    case OpKind::kConcatAxis1:
+      tensor::ConcatAxis1(*in[0], *in[1], out);
       return true;
-    }
     case OpKind::kReduceAxis1:
       tensor::SumAxis1(*in[0], instr.alpha, out);
       return true;
-    case OpKind::kSliceRow: {
-      const size_t batch = in[0]->dim(0), d = in[0]->dim(2);
-      const size_t row = instr.row;
-      for (size_t b = 0; b < batch; ++b) {
-        const float* src = in[0]->BatchData(b) + row * d;
-        float* dst = out->data() + b * d;
-        for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-      }
+    case OpKind::kSliceRow:
+      tensor::SliceRow(*in[0], instr.row, out);
       return true;
-    }
     case OpKind::kSumLast:
       tensor::SumLastDim(*in[0], out);
       return true;
-    case OpKind::kReshape: {
+    case OpKind::kReshape:
       if (out->data() == in[0]->data()) return true;  // fused: copy elided
-      const float* src = in[0]->data();
-      float* dst = out->data();
-      const size_t n = out->size();
-      for (size_t i = 0; i < n; ++i) dst[i] = src[i];
+      tensor::Copy(*in[0], out);
       return true;
-    }
-    case OpKind::kExpandRows: {
-      const size_t batch = out->dim(0), n = out->dim(1), d = out->dim(2);
-      for (size_t b = 0; b < batch; ++b) {
-        const float* src = in[0]->data() + b * d;
-        float* dst = out->BatchData(b);
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t j = 0; j < d; ++j) dst[i * d + j] = src[j];
-        }
-      }
+    case OpKind::kExpandRows:
+      tensor::ExpandRows(*in[0], out);
       return true;
-    }
-    case OpKind::kPairwiseUpper: {
-      const size_t batch = in[0]->dim(0), n = in[0]->dim(1), d = in[0]->dim(2);
-      for (size_t b = 0; b < batch; ++b) {
-        const float* src = in[0]->BatchData(b);
-        float* dst = out->BatchData(b);
-        size_t p = 0;
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t j = i + 1; j < n; ++j, ++p) {
-            const float* xi = src + i * d;
-            const float* xj = src + j * d;
-            float* row = dst + p * d;
-            for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
-          }
-        }
-      }
+    case OpKind::kPairwiseUpper:
+      tensor::PairwiseProductUpper(*in[0], out);
       return true;
-    }
-    case OpKind::kPairwiseCross: {
-      const size_t batch = in[0]->dim(0), h = in[0]->dim(1),
-                   m = in[1]->dim(1), d = in[0]->dim(2);
-      for (size_t bt = 0; bt < batch; ++bt) {
-        const float* sa = in[0]->BatchData(bt);
-        const float* sb = in[1]->BatchData(bt);
-        float* dst = out->BatchData(bt);
-        for (size_t i = 0; i < h; ++i) {
-          for (size_t j = 0; j < m; ++j) {
-            const float* xi = sa + i * d;
-            const float* xj = sb + j * d;
-            float* row = dst + (i * m + j) * d;
-            for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
-          }
-        }
-      }
+    case OpKind::kPairwiseCross:
+      tensor::PairwiseProductCross(*in[0], *in[1], out);
       return true;
-    }
     case OpKind::kEmbeddingGather:
     case OpKind::kEmbeddingSumGather:
     case OpKind::kPaddingMask:
@@ -248,6 +112,12 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
     case OpKind::kCrossPaddingMask:
     case OpKind::kZeros:
     case OpKind::kTileRows:
+    case OpKind::kDropout:
+    case OpKind::kSumAll:
+    case OpKind::kMeanAll:
+    case OpKind::kBprLoss:
+    case OpKind::kBceLoss:
+    case OpKind::kMseLoss:
       return false;
   }
   return false;
@@ -259,10 +129,13 @@ namespace {
 // Execution frames: one per (thread, program). The block tensor backs every
 // planned local at its PlanArena offset; the index arrays are the synthesized
 // replacements for BatchBuilder's per-request vectors. Sized once, reused for
-// every request — the steady-state scoring loop allocates nothing.
+// every request — the steady-state scoring loop allocates nothing. Each frame
+// watches its engine's liveness token, so frames of destroyed engines are
+// freed on the next cache miss of every thread that ran them.
 // ---------------------------------------------------------------------------
 
 struct Frame {
+  std::weak_ptr<const void> owner;  // the engine's liveness token
   tensor::Tensor block;
   std::vector<tensor::Tensor> locals;  // WrapExternal views into block
   std::vector<int32_t> sids, dids, uids;
@@ -271,12 +144,27 @@ struct Frame {
   bool needs_unified = false;
 };
 
-Frame* FrameFor(const Program& prog) {
-  thread_local std::unordered_map<uint64_t, std::unique_ptr<Frame>> frames;
+using FrameMap = std::unordered_map<uint64_t, std::unique_ptr<Frame>>;
+
+FrameMap& ThreadFrames() {
+  thread_local FrameMap frames;
+  return frames;
+}
+
+Frame* FrameFor(const Program& prog,
+                const std::shared_ptr<const void>& owner) {
+  FrameMap& frames = ThreadFrames();
   auto it = frames.find(prog.uid);
   if (it != frames.end()) return it->second.get();
 
+  // A miss is the only time this thread grows its cache, so it first drops
+  // the frames whose engine is gone. Only this thread touches the map, and an
+  // engine running on it is alive, so no frame in use is ever freed here.
+  for (auto e = frames.begin(); e != frames.end();) {
+    e = e->second->owner.expired() ? frames.erase(e) : std::next(e);
+  }
   auto frame = std::make_unique<Frame>();
+  frame->owner = owner;
   frame->block =
       tensor::Tensor::Uninitialized({std::max<size_t>(prog.frame_floats, 1)});
   frame->locals.resize(prog.values.size());
@@ -374,61 +262,25 @@ void RunProgram(const Program& prog, Frame* f,
   for (const Instr& ins : prog.instrs) {
     tensor::Tensor& out = f->locals[ins.out];
     switch (ins.kind) {
-      case OpKind::kEmbeddingGather: {
-        // Mirrors autograd::EmbeddingGather, with the index matrix computed
-        // on the fly from the binding instead of a per-request vector.
-        const tensor::Tensor& table = *resolve(ins.in[0]);
-        const size_t vocab = table.dim(0), d = table.dim(1);
-        const size_t batch = out.dim(0), n = out.dim(1);
-        const float* tv = table.data();
-        float* out_data = out.data();
-        const uint32_t* cols = ins.binding.cols.data();
-        const int32_t* deltas = ins.binding.deltas.data();
-        size_t w = 0;
-        const int32_t* src = index_source(ins.binding, &w);
-        util::ParallelFor(batch * n, util::GrainForRows(d, util::kEwGrain),
-                          [=](size_t i0, size_t i1) {
-          for (size_t i = i0; i < i1; ++i) {
-            const size_t b = i / n, j = i % n;
-            const int32_t sv = src[b * w + cols[j]];
-            const int32_t idx = sv < 0 ? sv : sv + deltas[j];
-            float* dst = out_data + i * d;
-            if (idx < 0) {  // padding -> zero row
-              for (size_t c = 0; c < d; ++c) dst[c] = 0.0f;
-              continue;
-            }
-            SEQFM_CHECK_LT(static_cast<size_t>(idx), vocab);
-            const float* srow = tv + static_cast<size_t>(idx) * d;
-            for (size_t c = 0; c < d; ++c) dst[c] = srow[c];
-          }
-        });
-        break;
-      }
+      case OpKind::kEmbeddingGather:
       case OpKind::kEmbeddingSumGather: {
-        const tensor::Tensor& weights = *resolve(ins.in[0]);
-        const size_t vocab = weights.dim(0);
-        const size_t batch = out.dim(0);
-        const size_t n = ins.binding.cols.size();
-        const float* wv = weights.data();
-        float* out_data = out.data();
+        // The eager gathers' kernels, with each index computed on the fly
+        // from the binding instead of read from a per-request vector.
         const uint32_t* cols = ins.binding.cols.data();
         const int32_t* deltas = ins.binding.deltas.data();
+        const size_t n = ins.binding.cols.size();
         size_t w = 0;
         const int32_t* src = index_source(ins.binding, &w);
-        util::ParallelFor(batch, util::GrainForRows(n, util::kEwGrain),
-                          [=](size_t b0, size_t b1) {
-          for (size_t b = b0; b < b1; ++b) {
-            float acc = 0.0f;
-            for (size_t i = 0; i < n; ++i) {
-              const int32_t sv = src[b * w + cols[i]];
-              const int32_t idx = sv < 0 ? sv : sv + deltas[i];
-              if (idx < 0) continue;
-              SEQFM_CHECK_LT(static_cast<size_t>(idx), vocab);
-              acc += wv[idx];
-            }
-            out_data[b] = acc;
-          }
-        });
+        auto index = [=](size_t i) {
+          const size_t b = i / n, j = i % n;
+          const int32_t sv = src[b * w + cols[j]];
+          return sv < 0 ? sv : sv + deltas[j];
+        };
+        if (ins.kind == OpKind::kEmbeddingGather) {
+          tensor::GatherRows(*resolve(ins.in[0]), index, &out);
+        } else {
+          tensor::SumGatherRows(*resolve(ins.in[0]), n, index, &out);
+        }
         break;
       }
       case OpKind::kPaddingMask: {
@@ -517,6 +369,8 @@ std::string CheckArrays(const Frame& f, const data::Batch& batch) {
 }
 
 }  // namespace
+
+size_t CachedFrameCount() { return ThreadFrames().size(); }
 
 // ---------------------------------------------------------------------------
 // Engine
@@ -659,7 +513,7 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
   // bit-identical slot tensors and BatchBuilder-identical index arrays.
   const int32_t probe_user = batch1.static_ids[0];
   const int32_t* probe_hist = batch1.dynamic_ids.data();
-  Frame* pf = FrameFor(f.prologue);
+  Frame* pf = FrameFor(f.prologue, liveness_);
   RunProgram(f.prologue, pf, nullptr, probe_user, probe_hist, nullptr,
              cand_base_, unified_dyn_base_);
   std::string arrays = CheckArrays(*pf, batch1);
@@ -679,7 +533,7 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
 
   // Self-check, body half: replay it over the probe candidates against the
   // freshly computed slots and demand the traced scores, bit-for-bit.
-  Frame* bf = FrameFor(f.body);
+  Frame* bf = FrameFor(f.body, liveness_);
   RunProgram(f.body, bf, &slots, probe_user, probe_hist, ovrC.data(),
              cand_base_, unified_dyn_base_);
   arrays = CheckArrays(*bf, batchC);
@@ -761,6 +615,7 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
   // takes the thread pool's region lock via ParallelFor, and ScoreRange is
   // itself called from inside pool regions, so holding mu_ across the heavy
   // work would invert the pool/engine lock order (see ordered_mutex.h).
+  bool kept_body = false;
   {
     util::OrderedMutexLock lock(mu_);
     if (adopt_prologue) {
@@ -777,11 +632,16 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
       stats_.fused += delta.fused;
       stats_.compiled_counts += 1;
       bodies_[count] = std::make_unique<Program>(std::move(f.body));
+      kept_body = true;
     }
     // else: a concurrent ScoreRange compiled this count first. Both compiles
     // trace the same deterministic model, so the programs are equivalent;
     // keeping the first insertion keeps frame uids stable.
   }
+  // The frames of the programs this compile discards (a later count's copy
+  // of the prologue, a body that lost the race) only served the self-checks.
+  if (!adopt_prologue) ThreadFrames().erase(f.prologue.uid);
+  if (!kept_body) ThreadFrames().erase(f.body.uid);
   return true;
 }
 
@@ -795,7 +655,7 @@ void Engine::MakeContext(int32_t user_index,
                          const std::vector<int32_t>& dynamic_ids,
                          SharedContext* ctx) const {
   SEQFM_CHECK_EQ(dynamic_ids.size(), n_seq_);
-  Frame* pf = FrameFor(prologue_);
+  Frame* pf = FrameFor(prologue_, liveness_);
   RunProgram(prologue_, pf, nullptr, user_index, dynamic_ids.data(), nullptr,
              cand_base_, unified_dyn_base_);
   ctx->slots.clear();
@@ -856,7 +716,7 @@ bool Engine::ScoreRange(const SharedContext& ctx,
   const Program* body = BodyFor(count, error);
   if (body == nullptr) return false;
 
-  Frame* bf = FrameFor(*body);
+  Frame* bf = FrameFor(*body, liveness_);
   RunProgram(*body, bf, &ctx.slots, ctx.user_index, ctx.dynamic_ids.data(),
              cands, cand_base_, unified_dyn_base_);
   std::memcpy(out, bf->locals[body->output].data(), count * sizeof(float));

@@ -50,15 +50,19 @@ struct SharedContext {
 /// in thread-local frames sized by PlanArena, so steady-state scoring
 /// performs zero heap allocations and is trivially thread-safe.
 
-/// Evaluates one pure instruction (no request-dependent inputs) by
-/// replicating the corresponding eager forward exactly — same kernels, same
-/// ParallelFor grains, same reduction order — so compiled results are
-/// bit-identical to the taped forward at every thread count and SIMD level.
-/// Returns false for kinds that are not pure functions of their tensor
-/// inputs (gathers, synthesized masks, tile_rows), which the executor and
-/// the constant folder handle themselves.
+/// Evaluates one pure instruction (no request-dependent inputs) by calling
+/// the same tensor:: kernel as the eager op it was traced from, so compiled
+/// results are bit-identical to the taped forward at every thread count and
+/// SIMD level. Returns false for kinds that are not pure functions of their
+/// tensor inputs (gathers, synthesized masks, tile_rows) — the executor and
+/// the constant folder handle those themselves — and for training-only
+/// kinds, which no traced program contains.
 bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
               tensor::Tensor* out);
+
+/// Number of execution frames cached on the calling thread. A frame lives
+/// until its engine is destroyed and this thread next misses its cache.
+size_t CachedFrameCount();
 
 /// Compile-time facts about an engine, surfaced in bench_serving --json.
 struct EngineStats {
@@ -168,6 +172,9 @@ class Engine {
   int32_t unified_dyn_base_ = 0;  // static_dim: unified id of dynamic 0
   size_t n_seq_ = 0;
   uint64_t uid_ = 0;
+  // Liveness token: the per-thread frames this engine's programs run in
+  // hold it weakly and are evicted once it expires (see FrameFor).
+  const std::shared_ptr<const void> liveness_ = std::make_shared<char>();
 
   // mutable: written once by Compile's initial CompileCount call, via the
   // same const path ScoreRange uses for lazy per-count bodies. Immutable

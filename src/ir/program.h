@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "autograd/op_kind.h"
 #include "autograd/variable.h"
 #include "tensor/tensor.h"
 
@@ -20,48 +21,12 @@ namespace ir {
 /// instruction reads and writes Value ids; shapes are static — a program is
 /// specialized to one candidate count and recompiled (cheaply) for another.
 
-/// Instruction opcode. The first block mirrors the autograd op vocabulary
-/// one-to-one (the executor replicates each eager forward bit-for-bit); the
-/// second block exists only in compiled programs.
-enum class OpKind : uint8_t {
-  kAdd,
-  kSub,
-  kMul,
-  kScale,
-  kAddScalar,
-  kAddBias,
-  kAddBroadcastBatch,
-  kRelu,
-  kSigmoid,
-  kTanh,
-  kMatMul,
-  kBmmShared,
-  kBmm,
-  kBmmLeftShared,
-  kRowDot,
-  kMaskedSoftmax,
-  kLayerNorm,
-  kConcatLast,
-  kConcatAxis1,
-  kReduceAxis1,  // mean_axis1 / sum_axis1; alpha carries the scale
-  kSliceRow,
-  kSumLast,
-  kReshape,
-  kExpandRows,
-  kPairwiseUpper,
-  kPairwiseCross,
-  kEmbeddingGather,
-  kEmbeddingSumGather,
-  // --- compiler-synthesized (no eager counterpart) ----------------------
-  kPaddingMask,       // nn::MakeBatchPaddingMask(dynamic_ids, B, n, causal)
-  kHistoryMask,       // nn::MakeHistoryPaddingMask(dynamic_ids, B, n)
-  kCrossPaddingMask,  // SeqFM's padding-aware cross mask (ns in Instr::row)
-  kZeros,             // zero tensor (GRU initial state)
-  kTileRows,          // repeat the whole input buffer out.size/in.size times
-};
-
-/// Name of an op kind ("scale", "tile_rows", ...) for logs and tests.
-const char* OpKindName(OpKind kind);
+/// Instruction opcode: the op vocabulary autograd records (see
+/// autograd/op_kind.h), shared so a traced node's kind is the instruction's
+/// kind. Compiled programs also use the compiler-synthesized kinds and never
+/// contain the training-only ones.
+using OpKind = autograd::OpKind;
+using autograd::OpKindName;
 
 /// How a Value resolves to a tensor at execution time.
 enum class ValueKind : uint8_t {
@@ -162,8 +127,9 @@ uint64_t NextProgramUid();
 
 /// Materializes a compiler-synthesized mask/zeros instruction into \p dst
 /// (size \p batch * rows_per_sample * cols as implied by the kind) from the
-/// request history. Shared by the executor and the trace-time verification
-/// so the re-materialization rule is pinned in one place.
+/// request history. Shared by the executor and the trace-time verification;
+/// each sample's block comes from the nn:: block writer the model's own mask
+/// builder uses (nn/masks.h), so the rule is written once.
 ///   kPaddingMask:      [batch*n, n], causal per Instr::causal
 ///   kHistoryMask:      [batch, n]
 ///   kCrossPaddingMask: [batch*(ns+n), ns+n], ns = Instr::row

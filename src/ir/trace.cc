@@ -12,62 +12,6 @@ namespace ir {
 
 namespace {
 
-/// Constant-annotation tags. TraceAnnotateConstant stores these in Node::op
-/// (empty for ordinary leaves), so classification survives the gap between
-/// model construction and the first trace.
-constexpr const char kTagCapture[] = "const:capture";
-constexpr const char kTagPaddingMask[] = "const:padding_mask";
-constexpr const char kTagPaddingMaskCausal[] = "const:padding_mask_causal";
-constexpr const char kTagHistoryMask[] = "const:history_mask";
-constexpr const char kTagCrossPaddingMask[] = "const:cross_padding_mask";
-constexpr const char kTagZeroState[] = "const:zero_state";
-
-bool OpKindFromName(const std::string& name, OpKind* kind, float* alpha_sign) {
-  struct Entry {
-    const char* name;
-    OpKind kind;
-  };
-  static const Entry kTable[] = {
-      {"add", OpKind::kAdd},
-      {"sub", OpKind::kSub},
-      {"mul", OpKind::kMul},
-      {"scale", OpKind::kScale},
-      {"add_scalar", OpKind::kAddScalar},
-      {"add_bias", OpKind::kAddBias},
-      {"add_broadcast_batch", OpKind::kAddBroadcastBatch},
-      {"relu", OpKind::kRelu},
-      {"sigmoid", OpKind::kSigmoid},
-      {"tanh", OpKind::kTanh},
-      {"matmul", OpKind::kMatMul},
-      {"bmm_shared", OpKind::kBmmShared},
-      {"bmm", OpKind::kBmm},
-      {"bmm_left_shared", OpKind::kBmmLeftShared},
-      {"row_dot", OpKind::kRowDot},
-      {"masked_softmax", OpKind::kMaskedSoftmax},
-      {"layer_norm", OpKind::kLayerNorm},
-      {"concat_last", OpKind::kConcatLast},
-      {"concat_axis1", OpKind::kConcatAxis1},
-      {"mean_axis1", OpKind::kReduceAxis1},
-      {"sum_axis1", OpKind::kReduceAxis1},
-      {"slice_row", OpKind::kSliceRow},
-      {"sum_last", OpKind::kSumLast},
-      {"reshape", OpKind::kReshape},
-      {"expand_rows", OpKind::kExpandRows},
-      {"pairwise_upper", OpKind::kPairwiseUpper},
-      {"pairwise_cross", OpKind::kPairwiseCross},
-      {"embedding_gather", OpKind::kEmbeddingGather},
-      {"embedding_sum_gather", OpKind::kEmbeddingSumGather},
-  };
-  (void)alpha_sign;
-  for (const Entry& e : kTable) {
-    if (name == e.name) {
-      *kind = e.kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Checks \p binding against an observed index matrix [batch, n] and the
 /// request arrays it claims to derive from. Negative entries mean padding to
 /// every gather, so they only need to agree in sign.
@@ -209,8 +153,8 @@ struct TraceSink {
       ids[node.get()] = id;
       return id;
     }
-    const std::string& tag = node->op;
-    if (tag == kTagCapture) {
+    const autograd::ConstantKind constant = node->constant;
+    if (constant == autograd::ConstantKind::kCaptureValue) {
       const uint32_t id =
           NewValue(ValueKind::kConstant, node->value.shape(), node);
       prog.values[id].index = static_cast<uint32_t>(prog.constants.size());
@@ -223,23 +167,30 @@ struct TraceSink {
     std::vector<size_t> want_shape;
     const size_t B = batch->batch_size, n = batch->n_seq,
                  ns = batch->n_static;
-    if (tag == kTagPaddingMask || tag == kTagPaddingMaskCausal) {
-      kind = OpKind::kPaddingMask;
-      causal = tag == kTagPaddingMaskCausal;
-      want_shape = {B * n, n};
-    } else if (tag == kTagHistoryMask) {
-      kind = OpKind::kHistoryMask;
-      want_shape = {B, n};
-    } else if (tag == kTagCrossPaddingMask) {
-      kind = OpKind::kCrossPaddingMask;
-      want_shape = {B * (ns + n), ns + n};
-    } else if (tag == kTagZeroState) {
-      kind = OpKind::kZeros;
-      want_shape = node->value.shape();
-    } else {
-      Fail("unannotated constant in traced forward (shape " +
-           node->value.ToString(0) + ")");
-      return kNoValue;
+    switch (constant) {
+      case autograd::ConstantKind::kCausalPaddingMask:
+        causal = true;
+        [[fallthrough]];
+      case autograd::ConstantKind::kPaddingMask:
+        kind = OpKind::kPaddingMask;
+        want_shape = {B * n, n};
+        break;
+      case autograd::ConstantKind::kHistoryMask:
+        kind = OpKind::kHistoryMask;
+        want_shape = {B, n};
+        break;
+      case autograd::ConstantKind::kCrossPaddingMask:
+        kind = OpKind::kCrossPaddingMask;
+        want_shape = {B * (ns + n), ns + n};
+        break;
+      case autograd::ConstantKind::kZeroState:
+        kind = OpKind::kZeros;
+        want_shape = node->value.shape();
+        break;
+      default:
+        Fail("unannotated constant in traced forward (shape " +
+             node->value.ToString(0) + ")");
+        return kNoValue;
     }
     if (node->value.shape() != want_shape) {
       Fail(std::string("synthesized constant '") + OpKindName(kind) +
@@ -277,13 +228,12 @@ struct TraceSink {
     return LeafValue(node);
   }
 
-  void Record(const autograd::NodePtr& node,
+  void Record(OpKind kind, const autograd::NodePtr& node,
               const std::vector<autograd::NodePtr>& parents,
               const autograd::TraceAttrs* attrs) {
     if (!error.empty()) return;
-    OpKind kind;
-    if (!OpKindFromName(node->op, &kind, nullptr)) {
-      Fail("untraceable op '" + node->op + "'");
+    if (autograd::IsTrainingOnly(kind)) {
+      Fail(std::string("untraceable op '") + OpKindName(kind) + "'");
       return;
     }
     Instr instr;
@@ -379,34 +329,9 @@ namespace autograd {
 
 bool TracingActive() { return ir::g_sink != nullptr; }
 
-void TraceRecord(const NodePtr& node, const std::vector<NodePtr>& parents,
-                 const TraceAttrs* attrs) {
-  if (ir::g_sink != nullptr) ir::g_sink->Record(node, parents, attrs);
-}
-
-void TraceAnnotateConstant(const Variable& v, ConstantKind kind, bool causal) {
-  // Stamped on the node itself (the leaf op string is otherwise unused), so
-  // constants built at model-construction time — long before any trace is
-  // armed — are still classifiable when a later trace encounters them.
-  const char* tag = ir::kTagCapture;
-  switch (kind) {
-    case ConstantKind::kCaptureValue:
-      tag = ir::kTagCapture;
-      break;
-    case ConstantKind::kPaddingMask:
-      tag = causal ? ir::kTagPaddingMaskCausal : ir::kTagPaddingMask;
-      break;
-    case ConstantKind::kHistoryMask:
-      tag = ir::kTagHistoryMask;
-      break;
-    case ConstantKind::kCrossPaddingMask:
-      tag = ir::kTagCrossPaddingMask;
-      break;
-    case ConstantKind::kZeroState:
-      tag = ir::kTagZeroState;
-      break;
-  }
-  v.node()->op = tag;
+void TraceRecord(OpKind kind, const NodePtr& node,
+                 const std::vector<NodePtr>& parents, const TraceAttrs* attrs) {
+  if (ir::g_sink != nullptr) ir::g_sink->Record(kind, node, parents, attrs);
 }
 
 }  // namespace autograd

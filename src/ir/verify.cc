@@ -79,10 +79,11 @@ Status CheckBinding(const Program& p, size_t i, const Instr& ins) {
   return Status::OK();
 }
 
-/// Per-op agreement with the executor's shape contracts. Mirrors what
-/// EvalPure / RunProgram index by: every dim() read there has a matching
-/// relation here, so a malformed program fails verification instead of
-/// reading out of bounds at serving time.
+/// Per-op agreement with the executor's shape contracts: every dim() the
+/// tensor:: kernel behind an EvalPure case (the same kernel the eager op
+/// calls) or a RunProgram gather/mask reads has a matching relation here,
+/// restated independently, so a malformed program fails verification
+/// instead of reading out of bounds at serving time.
 Status CheckInstrShapes(const Program& p, size_t i, const Instr& ins) {
   const Value& out = p.values[ins.out];
   auto err = [&](const std::string& msg) {
@@ -410,6 +411,13 @@ Status CheckInstrShapes(const Program& p, size_t i, const Instr& ins) {
       }
       return Status::OK();
     }
+    case OpKind::kDropout:
+    case OpKind::kSumAll:
+    case OpKind::kMeanAll:
+    case OpKind::kBprLoss:
+    case OpKind::kBceLoss:
+    case OpKind::kMseLoss:
+      return err("training-only op in a compiled program");
   }
   return Status::Internal(At(i, ins) + "unknown op kind");
 }

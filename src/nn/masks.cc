@@ -47,41 +47,69 @@ autograd::Variable MakeZeroMask(size_t n) {
   return v;
 }
 
+void PaddingMaskBlock(bool causal, const int32_t* ids, size_t n, float* dst) {
+  for (size_t i = 0; i < n; ++i) {
+    float* row = dst + i * n;
+    bool any_open = false;
+    for (size_t j = 0; j < n; ++j) {
+      const bool blocked_causal = causal && i < j;
+      const bool blocked_pad = ids[j] < 0;
+      row[j] = (blocked_causal || blocked_pad) ? kNegInf : 0.0f;
+      any_open = any_open || row[j] == 0.0f;
+    }
+    if (!any_open) row[i] = 0.0f;  // keep the diagonal open
+  }
+}
+
+void HistoryMaskBlock(const int32_t* ids, size_t n, float* dst) {
+  bool any = false;
+  for (size_t i = 0; i < n; ++i) {
+    const bool pad = ids[i] < 0;
+    dst[i] = pad ? kNegInf : 0.0f;
+    any = any || !pad;
+  }
+  if (!any && n > 0) dst[n - 1] = 0.0f;  // degenerate empty history
+}
+
+void CrossMaskBlock(size_t n_static, const int32_t* dynamic_ids,
+                    size_t n_dynamic, float* dst) {
+  const size_t n = n_static + n_dynamic;
+  for (size_t i = 0; i < n; ++i) {
+    float* row = dst + i * n;
+    const bool i_static = i < n_static;
+    bool any_open = false;
+    for (size_t j = 0; j < n; ++j) {
+      const bool j_static = j < n_static;
+      bool blocked = (i_static == j_static);
+      if (!j_static && dynamic_ids[j - n_static] < 0) blocked = true;
+      row[j] = blocked ? kNegInf : 0.0f;
+      any_open = any_open || !blocked;
+    }
+    if (!any_open) row[i] = 0.0f;
+  }
+}
+
 autograd::Variable MakeBatchPaddingMask(const std::vector<int32_t>& indices,
                                         size_t batch, size_t n, bool causal) {
   SEQFM_CHECK_EQ(indices.size(), batch * n);
-  tensor::Tensor mask({batch * n, n});
+  tensor::Tensor mask = tensor::Tensor::Uninitialized({batch * n, n});
   for (size_t b = 0; b < batch; ++b) {
-    for (size_t i = 0; i < n; ++i) {
-      float* row = mask.data() + (b * n + i) * n;
-      bool any_open = false;
-      for (size_t j = 0; j < n; ++j) {
-        const bool blocked_causal = causal && i < j;
-        const bool blocked_pad = indices[b * n + j] < 0;
-        row[j] = (blocked_causal || blocked_pad) ? kNegInf : 0.0f;
-        any_open = any_open || row[j] == 0.0f;
-      }
-      if (!any_open) row[i] = 0.0f;  // keep the diagonal open
-    }
+    PaddingMaskBlock(causal, indices.data() + b * n, n,
+                     mask.data() + b * n * n);
   }
   autograd::Variable v = autograd::Variable::Constant(std::move(mask));
-  autograd::TraceAnnotateConstant(v, autograd::ConstantKind::kPaddingMask,
-                                  causal);
+  autograd::TraceAnnotateConstant(
+      v, causal ? autograd::ConstantKind::kCausalPaddingMask
+                : autograd::ConstantKind::kPaddingMask);
   return v;
 }
 
 autograd::Variable MakeHistoryPaddingMask(const std::vector<int32_t>& indices,
                                           size_t batch, size_t n) {
   SEQFM_CHECK_EQ(indices.size(), batch * n);
-  tensor::Tensor mask({batch, n});
+  tensor::Tensor mask = tensor::Tensor::Uninitialized({batch, n});
   for (size_t b = 0; b < batch; ++b) {
-    bool any = false;
-    for (size_t i = 0; i < n; ++i) {
-      const bool pad = indices[b * n + i] < 0;
-      mask.at(b, i) = pad ? kNegInf : 0.0f;
-      any = any || !pad;
-    }
-    if (!any) mask.at(b, n - 1) = 0.0f;  // degenerate empty history
+    HistoryMaskBlock(indices.data() + b * n, n, mask.data() + b * n);
   }
   autograd::Variable v = autograd::Variable::Constant(std::move(mask));
   autograd::TraceAnnotateConstant(v, autograd::ConstantKind::kHistoryMask);

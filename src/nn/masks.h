@@ -41,6 +41,25 @@ autograd::Variable MakeBatchPaddingMask(const std::vector<int32_t>& indices,
 autograd::Variable MakeHistoryPaddingMask(const std::vector<int32_t>& indices,
                                           size_t batch, size_t n);
 
+/// Per-sample block writers: each writes one sample's block of a
+/// request-dependent mask into \p dst from that sample's history row
+/// (\p n ids, -1 padding). They are the one definition of these masks: the
+/// builders here and in core::SeqFm call them per sample, and the serving
+/// compiler's executor (ir::MaterializeMask) re-materializes masks with them.
+
+/// One [n, n] block of MakeBatchPaddingMask.
+void PaddingMaskBlock(bool causal, const int32_t* ids, size_t n, float* dst);
+
+/// One [n] row of MakeHistoryPaddingMask.
+void HistoryMaskBlock(const int32_t* ids, size_t n, float* dst);
+
+/// One [(n_static + n_dynamic), (n_static + n_dynamic)] block of SeqFM's
+/// padding-aware cross mask: the cross-view mask (Eq. 13) that also blocks
+/// attention to dynamic padding keys, keeping a fully blocked row's diagonal
+/// open.
+void CrossMaskBlock(size_t n_static, const int32_t* dynamic_ids,
+                    size_t n_dynamic, float* dst);
+
 }  // namespace nn
 }  // namespace seqfm
 

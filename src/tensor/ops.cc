@@ -341,6 +341,183 @@ void AddBiasLastDim(const Tensor& in, const Tensor& bias, Tensor* out) {
   });
 }
 
+void Scale(const Tensor& in, float alpha, Tensor* out) {
+  CheckSameShape(in, *out);
+  const float* x = in.data();
+  float* y = out->data();
+  const kernels::KernelTable& kt = kernels::Active();
+  util::ParallelFor(in.size(), kEwGrain, [=, &kt](size_t i0, size_t i1) {
+    kt.scale(alpha, x + i0, y + i0, i1 - i0);
+  });
+}
+
+void AddScalar(const Tensor& in, float alpha, Tensor* out) {
+  CheckSameShape(in, *out);
+  const float* x = in.data();
+  float* y = out->data();
+  for (size_t i = 0; i < out->size(); ++i) y[i] = x[i] + alpha;
+}
+
+void AddBroadcastBatch(const Tensor& in, const Tensor& table, Tensor* out) {
+  CheckSameShape(in, *out);
+  const size_t batch = in.dim(0), rows = in.dim(1), d = in.dim(2);
+  const float* src = table.data();
+  util::ParallelFor(batch, GrainForRows(rows * d, kEwGrain),
+                    [out, &in, src, rows, d](size_t b0, size_t b1) {
+    for (size_t b = b0; b < b1; ++b) {
+      const float* xb = in.BatchData(b);
+      float* dst = out->BatchData(b);
+      for (size_t i = 0; i < rows * d; ++i) dst[i] = xb[i] + src[i];
+    }
+  });
+}
+
+void BatchedMatMulLeftShared(const Tensor& w, const Tensor& p, Tensor* out) {
+  const size_t batch = p.dim(0);
+  const size_t h2 = w.dim(0), h = w.dim(1), d = p.dim(2);
+  util::ParallelFor(batch, GrainForRows(h2 * h * d, util::kMinParallelWork),
+                    [&, h2, h, d](size_t b0, size_t b1) {
+    for (size_t b = b0; b < b1; ++b) {
+      Gemm(w.data(), p.BatchData(b), out->BatchData(b), h2, h, d, false, false,
+           false);
+    }
+  });
+}
+
+void RowDot(const Tensor& a, const Tensor& b, Tensor* out) {
+  const size_t batch = a.dim(0), d = a.dim(1);
+  const float* av = a.data();
+  const float* bv = b.data();
+  float* out_data = out->data();
+  // One dispatched lane-blocked dot per row.
+  const kernels::KernelTable& kt = kernels::Active();
+  util::ParallelFor(batch, GrainForRows(d, kEwGrain),
+                    [=, &kt](size_t i0, size_t i1) {
+    for (size_t i = i0; i < i1; ++i) {
+      out_data[i] = kt.dot(av + i * d, bv + i * d, d);
+    }
+  });
+}
+
+void LayerNormLastDim(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                      float eps, Tensor* out, Tensor* xhat, float* inv_std) {
+  CheckSameShape(x, *out);
+  const size_t d = x.shape().back();
+  SEQFM_CHECK_EQ(gamma.size(), d);
+  SEQFM_CHECK_EQ(beta.size(), d);
+  const size_t rows = x.size() / d;
+  const float* xv = x.data();
+  const float* gv = gamma.data();
+  const float* bv = beta.data();
+  float* out_data = out->data();
+  float* xhat_data = xhat != nullptr ? xhat->data() : nullptr;
+  // Mean and variance use the dispatched lane-blocked reductions; the
+  // normalize/affine pass is the dispatched row map. Identical bits at every
+  // SIMD level and thread count, with or without the saved intermediates.
+  const kernels::KernelTable& kt = kernels::Active();
+  util::ParallelFor(rows, GrainForRows(d, kMathGrain),
+                    [=, &kt](size_t r0, size_t r1) {
+    for (size_t r = r0; r < r1; ++r) {
+      const float* xr = xv + r * d;
+      const float mean = kt.reduce_sum(xr, d) / static_cast<float>(d);
+      const float var =
+          kt.reduce_sum_sq_diff(xr, mean, d) / static_cast<float>(d);
+      const float is = 1.0f / std::sqrt(var + eps);
+      if (inv_std != nullptr) inv_std[r] = is;
+      kt.layer_norm_row(xr, gv, bv, mean, is, d, out_data + r * d,
+                        xhat_data != nullptr ? xhat_data + r * d : nullptr);
+    }
+  });
+}
+
+void ConcatLastDim(const std::vector<const Tensor*>& parts, Tensor* out) {
+  const size_t batch = out->dim(0), total = out->dim(1);
+  size_t offset = 0;
+  for (const Tensor* p : parts) {
+    const size_t d = p->dim(1);
+    for (size_t b = 0; b < batch; ++b) {
+      const float* src = p->data() + b * d;
+      float* dst = out->data() + b * total + offset;
+      for (size_t j = 0; j < d; ++j) dst[j] = src[j];
+    }
+    offset += d;
+  }
+}
+
+void ConcatAxis1(const Tensor& a, const Tensor& b, Tensor* out) {
+  const size_t batch = a.dim(0), na = a.dim(1), nb = b.dim(1), d = a.dim(2);
+  for (size_t i = 0; i < batch; ++i) {
+    float* dst = out->BatchData(i);
+    const float* sa = a.BatchData(i);
+    const float* sb = b.BatchData(i);
+    for (size_t j = 0; j < na * d; ++j) dst[j] = sa[j];
+    for (size_t j = 0; j < nb * d; ++j) dst[na * d + j] = sb[j];
+  }
+}
+
+void SliceRow(const Tensor& in, size_t row, Tensor* out) {
+  const size_t batch = in.dim(0), d = in.dim(2);
+  SEQFM_CHECK_LT(row, in.dim(1));
+  for (size_t b = 0; b < batch; ++b) {
+    const float* src = in.BatchData(b) + row * d;
+    float* dst = out->data() + b * d;
+    for (size_t j = 0; j < d; ++j) dst[j] = src[j];
+  }
+}
+
+void Copy(const Tensor& in, Tensor* out) {
+  SEQFM_CHECK_EQ(out->size(), in.size());
+  const float* src = in.data();
+  float* dst = out->data();
+  const size_t n = out->size();
+  for (size_t i = 0; i < n; ++i) dst[i] = src[i];
+}
+
+void ExpandRows(const Tensor& in, Tensor* out) {
+  const size_t batch = out->dim(0), n = out->dim(1), d = out->dim(2);
+  for (size_t b = 0; b < batch; ++b) {
+    const float* src = in.data() + b * d;
+    float* dst = out->BatchData(b);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < d; ++j) dst[i * d + j] = src[j];
+    }
+  }
+}
+
+void PairwiseProductUpper(const Tensor& in, Tensor* out) {
+  const size_t batch = in.dim(0), n = in.dim(1), d = in.dim(2);
+  for (size_t b = 0; b < batch; ++b) {
+    const float* src = in.BatchData(b);
+    float* dst = out->BatchData(b);
+    size_t p = 0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j, ++p) {
+        const float* xi = src + i * d;
+        const float* xj = src + j * d;
+        float* row = dst + p * d;
+        for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
+      }
+    }
+  }
+}
+
+void PairwiseProductCross(const Tensor& a, const Tensor& b, Tensor* out) {
+  const size_t batch = a.dim(0), h = a.dim(1), m = b.dim(1), d = a.dim(2);
+  for (size_t bt = 0; bt < batch; ++bt) {
+    const float* sa = a.BatchData(bt);
+    const float* sb = b.BatchData(bt);
+    float* dst = out->BatchData(bt);
+    for (size_t i = 0; i < h; ++i) {
+      for (size_t j = 0; j < m; ++j) {
+        const float* xi = sa + i * d;
+        const float* xj = sb + j * d;
+        float* row = dst + (i * m + j) * d;
+        for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
+      }
+    }
+  }
+}
+
 void SumAxis1(const Tensor& in, float scale, Tensor* out, bool accumulate) {
   SEQFM_CHECK_EQ(in.rank(), 3u);
   SEQFM_CHECK_EQ(out->rank(), 2u);

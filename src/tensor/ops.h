@@ -3,15 +3,21 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "tensor/tensor.h"
+#include "util/thread_pool.h"
 
 namespace seqfm {
 namespace tensor {
 
-/// Forward compute kernels shared by the autograd layer. All kernels take an
-/// \p accumulate flag: when true they add into the output (used for gradient
-/// accumulation), otherwise they overwrite it.
+/// Forward compute kernels. Each is the one implementation of its op's
+/// forward: the autograd op (src/autograd/) and the compiled program's
+/// executor (ir::EvalPure) both call it, so eager and compiled scores are
+/// bit-identical by construction. The GEMM wrappers and SumAxis1 take an
+/// \p accumulate flag: when true they add into the output (used for
+/// gradient accumulation), otherwise they overwrite it.
 ///
 /// Raw GEMM core: C[m,n] (+)= A op B with optional transposition.
 ///   trans_a == false: A is [m,k] row-major; true: A is [k,m] and used as A^T.
@@ -64,8 +70,103 @@ void Relu(const Tensor& in, Tensor* out);
 void Sigmoid(const Tensor& in, Tensor* out);
 void Tanh(const Tensor& in, Tensor* out);
 
+/// out = alpha * in.
+void Scale(const Tensor& in, float alpha, Tensor* out);
+/// out = in + alpha (elementwise scalar shift).
+void AddScalar(const Tensor& in, float alpha, Tensor* out);
+
 /// Broadcast-add a rank-1 bias of size d over the last dimension.
 void AddBiasLastDim(const Tensor& in, const Tensor& bias, Tensor* out);
+
+/// The kernels below leave the rank and dimension agreement of their inputs
+/// to the callers: each autograd op checks its inputs, and ir::Verify checks
+/// every compiled instruction's shapes before it runs.
+
+/// Broadcast-add a rank-2 [n, d] table over the batch of in [B, n, d].
+void AddBroadcastBatch(const Tensor& in, const Tensor& table, Tensor* out);
+
+/// out[b] = W · P[b] for W [h2, h] and P [B, h, d] -> [B, h2, d].
+void BatchedMatMulLeftShared(const Tensor& w, const Tensor& p, Tensor* out);
+
+/// Row-wise dot product of two [B, d] tensors -> [B, 1].
+void RowDot(const Tensor& a, const Tensor& b, Tensor* out);
+
+/// Layer normalization over the last dimension:
+/// out = gamma ⊙ (x - mean) / sqrt(var + eps) + beta. When non-null,
+/// \p xhat (same shape as x) receives the normalized activations and
+/// \p inv_std (one float per row) the inverse standard deviations, which
+/// the backward pass consumes; the outputs are the same either way.
+void LayerNormLastDim(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                      float eps, Tensor* out, Tensor* xhat = nullptr,
+                      float* inv_std = nullptr);
+
+/// Structural copies.
+/// Concatenates rank-2 [B, d_i] tensors along the last dim -> [B, sum d_i].
+void ConcatLastDim(const std::vector<const Tensor*>& parts, Tensor* out);
+/// Concatenates rank-3 [B, na, d] and [B, nb, d] along axis 1.
+void ConcatAxis1(const Tensor& a, const Tensor& b, Tensor* out);
+/// Row \p row of axis 1: [B, n, d] -> [B, d].
+void SliceRow(const Tensor& in, size_t row, Tensor* out);
+/// Flat element copy between tensors of equal size (reshape).
+void Copy(const Tensor& in, Tensor* out);
+/// Repeats each row of in [B, d] out.dim(1) times -> [B, n, d].
+void ExpandRows(const Tensor& in, Tensor* out);
+/// All ordered row pairs i < j multiplied elementwise:
+/// [B, n, d] -> [B, n(n-1)/2, d].
+void PairwiseProductUpper(const Tensor& in, Tensor* out);
+/// Cross products of the rows of a [B, h, d] and b [B, m, d]
+/// -> [B, h*m, d], out[b, i*m+j] = a[b, i] ⊙ b[b, j].
+void PairwiseProductCross(const Tensor& a, const Tensor& b, Tensor* out);
+
+/// Embedding gathers. \p index maps a flat position to a table row: eager
+/// ops read their index vector, the compiled executor derives each index
+/// from the request arrays on the fly, and both run this one loop.
+/// Rows of \p table [V, d] into out [B, n, d], position i = b * n + j; a
+/// negative index (padding) yields a zero row.
+template <typename IndexFn>
+void GatherRows(const Tensor& table, IndexFn index, Tensor* out) {
+  const size_t vocab = table.dim(0), d = table.dim(1);
+  const float* tv = table.data();
+  float* out_data = out->data();
+  // Gather rows are disjoint writes, so the index loop splits freely.
+  util::ParallelFor(out->dim(0) * out->dim(1),
+                    util::GrainForRows(d, util::kEwGrain),
+                    [=](size_t i0, size_t i1) {
+    for (size_t i = i0; i < i1; ++i) {
+      const int32_t idx = index(i);
+      float* dst = out_data + i * d;
+      if (idx < 0) {  // padding -> zero row (output may be uninitialized)
+        for (size_t j = 0; j < d; ++j) dst[j] = 0.0f;
+        continue;
+      }
+      SEQFM_CHECK_LT(static_cast<size_t>(idx), vocab);
+      const float* src = tv + static_cast<size_t>(idx) * d;
+      for (size_t j = 0; j < d; ++j) dst[j] = src[j];
+    }
+  });
+}
+/// Per sample b of out [B, 1]: the sum of \p weights [V, 1] at index(b * n
+/// + i) for i < n, skipping negative indices (the FM first-order term).
+template <typename IndexFn>
+void SumGatherRows(const Tensor& weights, size_t n, IndexFn index,
+                   Tensor* out) {
+  const size_t vocab = weights.dim(0);
+  const float* wv = weights.data();
+  float* out_data = out->data();
+  util::ParallelFor(out->size(), util::GrainForRows(n, util::kEwGrain),
+                    [=](size_t b0, size_t b1) {
+    for (size_t b = b0; b < b1; ++b) {
+      float acc = 0.0f;
+      for (size_t i = 0; i < n; ++i) {
+        const int32_t idx = index(b * n + i);
+        if (idx < 0) continue;
+        SEQFM_CHECK_LT(static_cast<size_t>(idx), vocab);
+        acc += wv[idx];
+      }
+      out_data[b] = acc;
+    }
+  });
+}
 
 /// Reductions.
 /// Sums rank-3 [batch, rows, cols] over rows -> [batch, cols], scaled.

@@ -1,13 +1,16 @@
 // Lockdown suite for the serving compiler (src/ir/):
 //   - trace round-trip: the recorded program's output tensor is bit-equal to
 //     a fresh tape-free forward, for SeqFM and every registry baseline;
+//   - trace refusals: a training-only op or an unannotated constant poisons
+//     the trace with a named diagnostic, and serving stays eager;
 //   - pass units on hand-built programs: constant folding, dead-code
 //     elimination, elementwise fusion, and arena planning (buffer reuse);
 //   - compiled-vs-eager serving parity: bit-for-bit equal scores for every
 //     model at 1/2 threads, 1/3 shards, and both SIMD levels;
 //   - compiler lifecycle: recompile on checkpoint reload, graceful eager
-//     fallback when the catalog is too small to disambiguate probes, and
-//     loss-curve invariance (tracing/compiling never perturbs training).
+//     fallback when the catalog is too small to disambiguate probes,
+//     execution frames freed with their engine, and loss-curve invariance
+//     (tracing/compiling never perturbs training).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "baselines/registry.h"
 #include "core/seqfm.h"
@@ -172,6 +176,95 @@ INSTANTIATE_TEST_SUITE_P(AllModels, TraceTest,
                            }
                            return name;
                          });
+
+// ---------------------------------------------------------------------------
+// Trace refusals: a serving forward the compiler cannot reproduce poisons the
+// trace with a diagnostic, and the Predictor keeps serving it eagerly.
+// ---------------------------------------------------------------------------
+
+/// First-order scorer over the static ids whose serving forward also reaches
+/// a training-only op (dropout applied regardless of the training flag).
+class DropoutAlwaysModel : public core::Model {
+ public:
+  explicit DropoutAlwaysModel(const data::FeatureSpace& space)
+      : w_(autograd::Variable::Leaf(
+            tensor::Tensor::Full({space.static_dim(), 1}, 0.25f), true)) {}
+
+  autograd::Variable Score(const data::Batch& batch, bool) override {
+    autograd::Variable s = autograd::EmbeddingSumGather(
+        w_, batch.static_ids, batch.batch_size, batch.n_static);
+    return autograd::Dropout(s, 0.5f, /*training=*/true, &rng_);
+  }
+  std::vector<autograd::Variable> TrainableParameters() override {
+    return {w_};
+  }
+  std::string name() const override { return "DropoutAlways"; }
+
+ private:
+  autograd::Variable w_;
+  Rng rng_{7};
+};
+
+/// The same scorer plus a per-request bias built as a plain
+/// Variable::Constant that no builder annotated for the tracer.
+class UnannotatedConstantModel : public core::Model {
+ public:
+  explicit UnannotatedConstantModel(const data::FeatureSpace& space)
+      : w_(autograd::Variable::Leaf(
+            tensor::Tensor::Full({space.static_dim(), 1}, 0.25f), true)) {}
+
+  autograd::Variable Score(const data::Batch& batch, bool) override {
+    autograd::Variable s = autograd::EmbeddingSumGather(
+        w_, batch.static_ids, batch.batch_size, batch.n_static);
+    autograd::Variable bias = autograd::Variable::Constant(
+        tensor::Tensor::Full({batch.batch_size, 1}, 0.5f));
+    return autograd::Add(s, bias);
+  }
+  std::vector<autograd::Variable> TrainableParameters() override {
+    return {w_};
+  }
+  std::string name() const override { return "UnannotatedConstant"; }
+
+ private:
+  autograd::Variable w_;
+};
+
+/// Traces \p model on a serving batch and expects the diagnostic \p want;
+/// then checks that a default Predictor declines to compile and still
+/// scores the whole catalog eagerly.
+void ExpectTraceRefusedAndEagerFallback(core::Model* model,
+                                        const data::FeatureSpace& space,
+                                        const std::string& want) {
+  data::BatchBuilder builder(space, kSeqLen);
+  const data::Batch batch =
+      ServingBatch(builder, TestExamples()[0], {0, 3, 7, 8});
+  const ir::TraceResult traced = ir::Trace(model, batch);
+  EXPECT_FALSE(traced.ok());
+  EXPECT_NE(traced.error.find(want), std::string::npos) << traced.error;
+
+  serve::Predictor predictor(model, &builder);
+  EXPECT_EQ(predictor.engine(), nullptr);
+  EXPECT_FALSE(predictor.compiled_active());
+  std::vector<int32_t> catalog(space.num_objects());
+  std::iota(catalog.begin(), catalog.end(), 0);
+  const std::vector<float> scores =
+      predictor.ScoreCandidates(TestExamples()[1], catalog);
+  EXPECT_EQ(scores.size(), catalog.size());
+}
+
+TEST(TraceTest, TrainingOnlyOpIsRefusedByName) {
+  const data::FeatureSpace space = SmallSpace();
+  DropoutAlwaysModel model(space);
+  ExpectTraceRefusedAndEagerFallback(&model, space,
+                                     "untraceable op 'dropout'");
+}
+
+TEST(TraceTest, UnannotatedConstantIsRefused) {
+  const data::FeatureSpace space = SmallSpace();
+  UnannotatedConstantModel model(space);
+  ExpectTraceRefusedAndEagerFallback(
+      &model, space, "unannotated constant in traced forward");
+}
 
 // ---------------------------------------------------------------------------
 // Pass units on hand-built programs
@@ -738,6 +831,36 @@ TEST(CompiledLifecycleTest, PrepareChunksCompilesEachNewChunkSizeOnce) {
   ExpectBitEqual(got.data(), want.value().data(), got.size(),
                  "prepared chunks");
   util::SetGlobalThreads(1);
+}
+
+TEST(CompiledLifecycleTest, DestroyedEnginesFreeTheirExecutionFrames) {
+  // Every Predictor compiles a fresh engine whose programs run in frames
+  // cached on the calling thread (one thread: nothing runs elsewhere). Once
+  // an engine is gone its frames must go too, so a serving process that
+  // reloads or rebuilds predictors keeps a flat frame count.
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  auto model = MakeModelByName("SeqFM", space);
+  util::SetGlobalThreads(1);
+  const data::SequenceExample ex = TestExamples()[0];
+  size_t first = 0;
+  for (int round = 0; round < 5; ++round) {
+    {
+      serve::Predictor predictor(model.get(), &builder);
+      ASSERT_TRUE(predictor.compiled_active());
+      EXPECT_EQ(predictor.TopKAll(ex, 3).size(), 3u);
+      // One frame for the prologue and one per compiled body: the copies a
+      // later body compile makes only for its self-checks are not kept.
+      EXPECT_EQ(ir::CachedFrameCount(),
+                1 + predictor.engine()->stats().compiled_counts);
+    }
+    if (round == 0) {
+      first = ir::CachedFrameCount();
+      EXPECT_GT(first, 0u);
+    } else {
+      EXPECT_EQ(ir::CachedFrameCount(), first) << "round " << round;
+    }
+  }
 }
 
 TEST(CompiledLifecycleTest, CheckpointReloadRecompilesTheProgram) {
