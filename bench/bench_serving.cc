@@ -11,10 +11,13 @@
 // across thread counts. Every path produces bit-for-bit identical scores
 // and rankings; the bench asserts that (including cached-warm,
 // batch-served, and sharded results) before any timing and exits 1 on the
-// first mismatch.
+// first mismatch. A timed run also exits 1 when the context cache scores the
+// repeated-user workload slower than the uncached compiled program.
 //
 // --smoke runs the parity gates only, on tiny shapes, and exits — the mode
-// CI uses under ASan+UBSan.
+// CI uses under ASan+UBSan. It gates the default SeqFM and two variants the
+// compiler splits differently: the padding-aware cross mask and the cross
+// view alone.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -149,6 +152,45 @@ RequestWorkload MakeRequestWorkload(
   return w;
 }
 
+/// One SeqFM configuration behind the three predictors the parity gates
+/// compare against its taped forward.
+struct ServingPaths {
+  std::string label;
+  std::unique_ptr<core::Model> model;
+  // The eager baseline pins use_compiled_program off: with the serving
+  // compiler on by default, it would otherwise score through the op program
+  // and measure the same path as the compiled rows.
+  std::unique_ptr<serve::Predictor> generic;
+  // The compiled op program (trace -> IR passes -> arena-planned VM) with
+  // the context cache off: the uncached baseline of every speedup below.
+  std::unique_ptr<serve::Predictor> compiled;
+  // Compiled + context cache: the production serving configuration.
+  std::unique_ptr<serve::Predictor> cached;
+};
+
+ServingPaths MakeServingPaths(
+    const std::string& label, const PreparedDataset& prep,
+    const BenchOptions& opts, size_t batch, size_t cache_mb,
+    const std::function<void(core::SeqFmConfig*)>& overrides) {
+  ServingPaths paths;
+  paths.label = label;
+  paths.model = MakeModel("SeqFM", prep.space, opts, overrides);
+  serve::PredictorOptions generic_opts;
+  generic_opts.micro_batch = batch;
+  generic_opts.use_compiled_program = false;
+  paths.generic = std::make_unique<serve::Predictor>(
+      paths.model.get(), prep.builder.get(), generic_opts);
+  serve::PredictorOptions compiled_opts;
+  compiled_opts.micro_batch = batch;
+  paths.compiled = std::make_unique<serve::Predictor>(
+      paths.model.get(), prep.builder.get(), compiled_opts);
+  serve::PredictorOptions cached_opts = compiled_opts;
+  cached_opts.context_cache_bytes = cache_mb << 20;
+  paths.cached = std::make_unique<serve::Predictor>(
+      paths.model.get(), prep.builder.get(), cached_opts);
+  return paths;
+}
+
 int Run(int argc, char** argv) {
   FlagParser flags = ParseBenchFlagsOrDie(
       argc, argv,
@@ -193,7 +235,12 @@ int Run(int argc, char** argv) {
               "for next-object ranking");
 
   PreparedDataset prep = PrepareDataset("gowalla", opts);
-  auto model = MakeModel("SeqFM", prep.space, opts);
+  ServingPaths main_paths =
+      MakeServingPaths("SeqFM", prep, opts, batch, cache_mb, nullptr);
+  core::Model* model = main_paths.model.get();
+  serve::Predictor& generic = *main_paths.generic;
+  serve::Predictor& compiled = *main_paths.compiled;
+  serve::Predictor& cached = *main_paths.cached;
 
   size_t num_candidates = static_cast<size_t>(
       flags.GetInt("candidates", prep.space.num_objects()));
@@ -205,23 +252,6 @@ int Run(int argc, char** argv) {
   const auto& examples = prep.dataset.test().empty() ? prep.dataset.train()
                                                      : prep.dataset.test();
   SEQFM_CHECK(!examples.empty());
-
-  // The eager baseline pins use_compiled_program off: with the serving
-  // compiler on by default, it would otherwise score through the op program
-  // and measure the same path as the compiled rows.
-  serve::PredictorOptions generic_opts;
-  generic_opts.micro_batch = batch;
-  generic_opts.use_compiled_program = false;
-  serve::Predictor generic(model.get(), prep.builder.get(), generic_opts);
-  // The compiled op program (trace -> IR passes -> arena-planned VM) with
-  // the context cache off: the uncached baseline of every speedup below.
-  serve::PredictorOptions compiled_opts;
-  compiled_opts.micro_batch = batch;
-  serve::Predictor compiled(model.get(), prep.builder.get(), compiled_opts);
-  // Compiled + context cache: the production serving configuration.
-  serve::PredictorOptions cached_opts = compiled_opts;
-  cached_opts.context_cache_bytes = cache_mb << 20;
-  serve::Predictor cached(model.get(), prep.builder.get(), cached_opts);
 
   std::printf("model=SeqFM dim=%zu seq-len=%zu | catalog=%zu candidates, "
               "%zu requests, batch=%zu | compiler %s, cache %zu MiB\n",
@@ -268,12 +298,16 @@ int Run(int argc, char** argv) {
   // bit-for-bit before any timing. Runs at each sweep thread count in smoke
   // mode, at the first otherwise.
   // -------------------------------------------------------------------------
-  auto run_parity_gates = [&]() -> size_t {
+  auto run_parity_gates = [&](const ServingPaths& paths) -> size_t {
+    core::Model* model = paths.model.get();
+    serve::Predictor& generic = *paths.generic;
+    serve::Predictor& compiled = *paths.compiled;
+    serve::Predictor& cached = *paths.cached;
     size_t mismatches = 0;
     std::vector<double> scratch;
     const auto& ex = examples.front();
     const std::vector<float> ref =
-        ScoreTaped(model.get(), *prep.builder, ex, catalog, batch, &scratch);
+        ScoreTaped(model, *prep.builder, ex, catalog, batch, &scratch);
     mismatches += CountMismatches(ref, generic.ScoreCandidates(ex, catalog));
     // The compiled op program against the taped forward — the compiled
     // on/off smoke CI leans on this gate.
@@ -314,7 +348,7 @@ int Run(int argc, char** argv) {
     }
     for (size_t r = 0; r < futures.size(); ++r) {
       const std::vector<float> rref =
-          ScoreTaped(model.get(), *prep.builder, *workload.examples[r],
+          ScoreTaped(model, *prep.builder, *workload.examples[r],
                      workload.slates[r], batch, &scratch);
       mismatches += count_ranking_mismatches(
           futures[r].get(), serve::SelectTopK(workload.slates[r], rref, 10));
@@ -349,13 +383,39 @@ int Run(int argc, char** argv) {
   const std::vector<size_t> thread_counts = ParseSizeListOrDie(
       flags, "thread-sweep", smoke ? "1,2" : "1,2,4", 1024);
 
+  // Smoke mode also gates the SeqFM variants whose attention the compiler
+  // splits differently: the padding-aware cross mask (synthesized per
+  // request) and the cross view alone (its captured mask, no other view).
+  std::vector<const ServingPaths*> gated = {&main_paths};
+  std::vector<ServingPaths> variants;
+  if (smoke) {
+    variants.push_back(MakeServingPaths(
+        "SeqFM mask_padding_keys", prep, opts, batch, cache_mb,
+        [](core::SeqFmConfig* cfg) { cfg->mask_padding_keys = true; }));
+    variants.push_back(MakeServingPaths(
+        "SeqFM cross view only", prep, opts, batch, cache_mb,
+        [](core::SeqFmConfig* cfg) {
+          cfg->use_static_view = false;
+          cfg->use_dynamic_view = false;
+        }));
+    for (const ServingPaths& v : variants) {
+      if (!v.compiled->compiled_active()) {
+        std::fprintf(stderr, "%s failed to compile into an op program\n",
+                     v.label.c_str());
+        return 1;
+      }
+      gated.push_back(&v);
+    }
+  }
   for (size_t threads : smoke ? thread_counts
                               : std::vector<size_t>{thread_counts.front()}) {
     util::SetGlobalThreads(threads);
-    const size_t mismatches = run_parity_gates();
-    std::printf("parity gates @threads=%zu: %zu mismatching results "
-                "(must be 0)\n", threads, mismatches);
-    if (mismatches != 0) return 1;
+    for (const ServingPaths* paths : gated) {
+      const size_t mismatches = run_parity_gates(*paths);
+      std::printf("parity gates @threads=%zu (%s): %zu mismatching results "
+                  "(must be 0)\n", threads, paths->label.c_str(), mismatches);
+      if (mismatches != 0) return 1;
+    }
   }
   if (smoke) {
     std::printf("smoke mode: parity gates passed, skipping timed runs.\n");
@@ -375,7 +435,7 @@ int Run(int argc, char** argv) {
     util::SetGlobalThreads(threads);
     const PathStats taped = MeasurePath(
         requests, sweep_scores, [&](size_t r, std::vector<double>* lat) {
-          (void)ScoreTaped(model.get(), *prep.builder,
+          (void)ScoreTaped(model, *prep.builder,
                            examples[r % examples.size()], catalog, batch,
                            lat);
         });
@@ -570,6 +630,15 @@ int Run(int argc, char** argv) {
                                  batched.scores_per_sec);
     std::printf("            best cached/batched = %.2fx uncached\n",
                 best / uncached.scores_per_sec);
+    // The ContextCache exists for this repeated-user traffic: a cached run
+    // slower than the uncached program fails the bench like a parity gate.
+    if (with_cache.scores_per_sec < uncached.scores_per_sec) {
+      std::fprintf(stderr, "context cache gate @threads=%zu: compiled + "
+                   "cache %.0f scores/s < uncached %.0f scores/s\n",
+                   threads, with_cache.scores_per_sec,
+                   uncached.scores_per_sec);
+      return 1;
+    }
     if (threads == thread_counts.front()) {
       json.Add("cached_scores_per_sec", with_cache.scores_per_sec);
       json.Add("batched_scores_per_sec", batched.scores_per_sec);

@@ -38,6 +38,7 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kCrossPaddingMask: return "cross_padding_mask";
     case OpKind::kZeros: return "zeros";
     case OpKind::kTileRows: return "tile_rows";
+    case OpKind::kSliceBlock: return "slice_block";
     case OpKind::kDropout: return "dropout";
     case OpKind::kSumAll: return "sum_all";
     case OpKind::kMeanAll: return "mean_all";

@@ -49,6 +49,7 @@ enum class OpKind : uint8_t {
   kCrossPaddingMask,  // SeqFM's padding-aware cross mask (ns in Instr::row)
   kZeros,             // zero tensor (GRU initial state)
   kTileRows,          // repeat the whole input buffer out.size/in.size times
+  kSliceBlock,        // [rows, cols] sub-matrix at (Instr::row, Instr::col)
   // --- training-only: a serving trace that reaches one is refused --------
   kDropout,  // must stay first of this block (IsTrainingOnly)
   kSumAll,

@@ -57,10 +57,9 @@ SeqFm::SeqFm(const data::FeatureSpace& space, const SeqFmConfig& config)
 
   causal_mask_ = nn::MakeCausalMask(config_.max_seq_len);
   if (config_.use_cross_view) {
-    // Materialize the cross mask for the standard BatchBuilder layout
-    // (n_static = 2: user + candidate one-hots) so concurrent tape-free
-    // Score calls never hit the lazy rebuild below — that write is the one
-    // piece of mutable state in an otherwise read-only eval forward.
+    // The cross mask for the standard BatchBuilder layout (n_static = 2:
+    // user + candidate one-hots). Score reads it and never writes it, so
+    // concurrent tape-free forwards share it safely.
     cross_mask_ = nn::MakeCrossMask(2, config_.max_seq_len);
   }
 }
@@ -134,11 +133,9 @@ Variable SeqFm::Score(const data::Batch& batch, bool training) {
     if (config_.mask_padding_keys) {
       mask = MakePaddingAwareCrossMask(batch.dynamic_ids, batch_size, ns, nd);
     } else {
-      if (!cross_mask_.defined() ||
-          cross_mask_.value().dim(0) != ns + nd) {
-        cross_mask_ = nn::MakeCrossMask(ns, nd);
-      }
-      mask = cross_mask_;
+      // Another static layout gets a mask of its own for this call.
+      mask = cross_mask_.value().dim(0) == ns + nd ? cross_mask_
+                                                   : nn::MakeCrossMask(ns, nd);
     }
     Variable h = cross_attention_->Forward(e_cross, mask);
     views.push_back(PoolAndRefine(h, static_cast<float>(ns + nd), training));

@@ -94,7 +94,7 @@ class SeqFm : public nn::Module, public Model {
   autograd::Variable p_;         // [num_views * d, 1] output projection
 
   autograd::Variable causal_mask_;  // [n., n.] (Eq. 10)
-  autograd::Variable cross_mask_;   // [(n_s+n.), (n_s+n.)] (Eq. 13)
+  autograd::Variable cross_mask_;   // [(2+n.), (2+n.)] (Eq. 13), read-only
 };
 
 }  // namespace core

@@ -60,13 +60,13 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
       tensor::MatMul(*in[0], *in[1], out);
       return true;
     case OpKind::kBmmShared:
-      tensor::BatchedMatMulShared(*in[0], *in[1], out);
+      tensor::BatchedMatMulShared(*in[0], *in[1], out, instr.trans_b);
       return true;
     case OpKind::kBmm:
       tensor::BatchedMatMul(*in[0], *in[1], out, instr.trans_a, instr.trans_b);
       return true;
     case OpKind::kBmmLeftShared:
-      tensor::BatchedMatMulLeftShared(*in[0], *in[1], out);
+      tensor::BatchedMatMulLeftShared(*in[0], *in[1], out, instr.trans_b);
       return true;
     case OpKind::kRowDot:
       tensor::RowDot(*in[0], *in[1], out);
@@ -88,6 +88,9 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
       return true;
     case OpKind::kSliceRow:
       tensor::SliceRow(*in[0], instr.row, out);
+      return true;
+    case OpKind::kSliceBlock:
+      tensor::SliceBlock(*in[0], instr.row, instr.col, out);
       return true;
     case OpKind::kSumLast:
       tensor::SumLastDim(*in[0], out);
@@ -453,6 +456,19 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
     return false;
   }
 
+  // Row-block the cross-view-style attention sites so that Factor can hoist
+  // their candidate-invariant blocks; programs without one are unchanged.
+  // The cross-probe check below compares a fresh trace against the traced
+  // skeleton, so keep it.
+  const std::vector<Instr> traced_instrs = tC.program.instrs;
+  const size_t traced_values = tC.program.values.size();
+  SplitAttention(&t1, &tC, batch1, batchC);
+  if (!VerifyStage(t1.program, "split_attention", "count 1", trace_opts,
+                   error) ||
+      !VerifyStage(tC.program, "split_attention", "count C", trace_opts,
+                   error)) {
+    return false;
+  }
   FactorResult f = Factor(t1, tC, batch1, batchC);
   if (!f.ok()) {
     *error = f.error;
@@ -574,14 +590,14 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
       *error = "compile (cross-probe): " + tB.error;
       return false;
     }
-    if (tB.program.instrs.size() != tC.program.instrs.size() ||
-        tB.program.values.size() != tC.program.values.size()) {
+    if (tB.program.instrs.size() != traced_instrs.size() ||
+        tB.program.values.size() != traced_values) {
       *error = "compile: program structure varies across requests";
       return false;
     }
     for (size_t i = 0; i < tB.program.instrs.size(); ++i) {
-      if (tB.program.instrs[i].kind != tC.program.instrs[i].kind ||
-          tB.program.instrs[i].out != tC.program.instrs[i].out) {
+      if (tB.program.instrs[i].kind != traced_instrs[i].kind ||
+          tB.program.instrs[i].out != traced_instrs[i].out) {
         *error = "compile: program structure varies across requests";
         return false;
       }

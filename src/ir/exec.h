@@ -53,7 +53,7 @@ struct SharedContext {
 /// Evaluates one pure instruction (no request-dependent inputs) by calling
 /// the same tensor:: kernel as the eager op it was traced from, so compiled
 /// results are bit-identical to the taped forward at every thread count and
-/// SIMD level. Returns false for kinds that are not pure functions of their
+/// SIMD level (slice_block, which only the compiler emits, is a copy). Returns false for kinds that are not pure functions of their
 /// tensor inputs (gathers, synthesized masks, tile_rows) — the executor and
 /// the constant folder handle those themselves — and for training-only
 /// kinds, which no traced program contains.

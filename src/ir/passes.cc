@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "ir/exec.h"
+#include "tensor/ops.h"
 #include "util/logging.h"
 
 namespace seqfm {
@@ -53,6 +56,7 @@ bool TilesTo(const tensor::Tensor& small, const tensor::Tensor& big) {
 bool InstrsAlign(const Instr& a, const Instr& b) {
   return a.kind == b.kind && a.in == b.in && a.out == b.out &&
          a.alpha == b.alpha && a.eps == b.eps && a.row == b.row &&
+         a.col == b.col &&
          a.trans_a == b.trans_a && a.trans_b == b.trans_b &&
          a.causal == b.causal;
 }
@@ -69,6 +73,509 @@ bool ValuesAlign(const Value& a, const Value& b) {
   }
 }
 
+/// Checks that two traces of one model align value-for-value and
+/// instruction-for-instruction, and reconciles their gather bindings: a
+/// count-1 fit can be ambiguous (one row cannot separate the user and
+/// candidate columns), so the count-C binding wins whenever both explain the
+/// count-1 indices. On success \p bindings holds each instruction's binding.
+bool AlignTraces(const TraceResult& trace1, const TraceResult& traceC,
+                 const data::Batch& batch1,
+                 std::vector<IndexBinding>* bindings, std::string* error) {
+  const Program& p1 = trace1.program;
+  const Program& pC = traceC.program;
+  if (p1.instrs.size() != pC.instrs.size() ||
+      p1.values.size() != pC.values.size()) {
+    *error = "factor: traces diverge in length (count-dependent control "
+             "flow)";
+    return false;
+  }
+  for (size_t i = 0; i < p1.values.size(); ++i) {
+    if (!ValuesAlign(p1.values[i], pC.values[i])) {
+      *error = "factor: value " + std::to_string(i) + " diverges";
+      return false;
+    }
+  }
+  bindings->assign(p1.instrs.size(), IndexBinding());
+  for (size_t i = 0; i < p1.instrs.size(); ++i) {
+    const Instr& a = p1.instrs[i];
+    const Instr& b = pC.instrs[i];
+    if (!InstrsAlign(a, b)) {
+      *error = "factor: instr " + std::to_string(i) + " (" +
+               OpKindName(a.kind) + " vs " + OpKindName(b.kind) +
+               ") diverges";
+      return false;
+    }
+    if (!IsGather(a.kind)) continue;
+    if (a.binding != b.binding) {
+      const size_t n = b.binding.cols.size();
+      if (a.traced_indices.size() != batch1.batch_size * n ||
+          !VerifyIndexBinding(b.binding, a.traced_indices.data(),
+                              batch1.batch_size, n, batch1)) {
+        *error = "factor: gather binding at instr " + std::to_string(i) +
+                 " is not count-stable";
+        return false;
+      }
+    }
+    (*bindings)[i] = b.binding;
+  }
+  return true;
+}
+
+/// Structural taint: a value is candidate-variant when its instruction reads
+/// the candidate column (gathers, per \p bindings) or any variant input
+/// (transitive). Synthesized masks depend only on the shared history.
+/// \p demoted forces values variant (empirical refutations).
+void PropagateTaint(const Program& p, const std::vector<IndexBinding>& bindings,
+                    const std::vector<char>& demoted,
+                    std::vector<char>* variant) {
+  variant->assign(p.values.size(), 0);
+  for (size_t i = 0; i < p.instrs.size(); ++i) {
+    const Instr& ins = p.instrs[i];
+    bool v = demoted[ins.out] != 0;
+    if (IsGather(ins.kind)) {
+      v = v || BindingUsesCandidate(bindings[i]);
+    } else if (!IsSynthesized(ins.kind)) {
+      for (uint32_t u : ins.in) v = v || (*variant)[u] != 0;
+    }
+    (*variant)[ins.out] = v ? 1 : 0;
+  }
+}
+
+/// Rewrites one trace for SplitAttention. Every decision reads only the
+/// program's structure, the bindings and taint both traces share, and
+/// captured constants, so the count-1 and count-C traces get the same
+/// rewrite and stay aligned value-for-value. Every new instruction is
+/// evaluated on the traced tensors (EvalPure, or the gather loop), and each
+/// rewritten value that replaces a traced one must reproduce it bit-for-bit.
+class BlockSplitter {
+ public:
+  BlockSplitter(const TraceResult& trace, const data::Batch& batch,
+                const std::vector<IndexBinding>& bindings,
+                const std::vector<char>& variant)
+      : src_(trace.program),
+        batch_(batch),
+        bindings_(bindings),
+        variant_(variant) {
+    out_.program = trace.program;
+    out_.program.instrs.clear();
+    out_.value_nodes = trace.value_nodes;
+    parts_.resize(src_.values.size());
+    def_.assign(src_.values.size(), kNoDef);
+  }
+
+  /// Rewrites the whole program; false (with \p error) when a rewritten
+  /// value fails its bit check.
+  bool Run(std::string* error) {
+    for (size_t i = 0; i < src_.instrs.size() && error_.empty(); ++i) {
+      Instr ins = src_.instrs[i];
+      if (IsGather(ins.kind)) ins.binding = bindings_[i];
+      if (ins.kind == OpKind::kEmbeddingGather && MixesCandidate(ins.binding)) {
+        SplitGather(ins);
+      } else if (IsRowWise(ins.kind) && Mixed(Leaves(ins.in[0]))) {
+        PushThroughConcat(ins);
+      } else if (!SplitAttentionAt(ins)) {
+        Append(ins);
+      }
+    }
+    if (!error_.empty()) {
+      *error = error_;
+      return false;
+    }
+    if (sites_ > 0) DeadCodeElim(&out_.program);
+    return true;
+  }
+
+  size_t sites() const { return sites_; }
+  TraceResult Take() { return std::move(out_); }
+
+ private:
+  static constexpr size_t kNoDef = static_cast<size_t>(-1);
+
+  /// Row-wise ops: each row of in[0] maps to the same row of the output and
+  /// no other input is row-dependent, so an axis-1 concatenation commutes.
+  static bool IsRowWise(OpKind k) {
+    switch (k) {
+      case OpKind::kBmmShared:
+      case OpKind::kAddBias:
+      case OpKind::kLayerNorm:
+      case OpKind::kScale:
+      case OpKind::kAddScalar:
+      case OpKind::kRelu:
+      case OpKind::kSigmoid:
+      case OpKind::kTanh:
+        return true;
+      default:
+        return false;
+    }
+  }
+
+  /// A gather binding that reads the candidate column and another column.
+  static bool MixesCandidate(const IndexBinding& b) {
+    if (!BindingUsesCandidate(b)) return false;
+    for (uint32_t c : b.cols) {
+      if (c != 1) return true;
+    }
+    return false;
+  }
+
+  const Value& Val(uint32_t v) const { return out_.program.values[v]; }
+  size_t Rows(uint32_t v) const { return Val(v).shape[1]; }
+
+  /// The row blocks \p v concatenates along axis 1 (itself when none).
+  std::vector<uint32_t> Leaves(uint32_t v) const {
+    return parts_[v].empty() ? std::vector<uint32_t>{v} : parts_[v];
+  }
+
+  bool Mixed(const std::vector<uint32_t>& leaves) const {
+    bool any_variant = false, any_invariant = false;
+    for (uint32_t v : leaves) {
+      (variant_[v] ? any_variant : any_invariant) = true;
+    }
+    return any_variant && any_invariant;
+  }
+
+  /// The instruction defining \p v in the rewritten program, if any.
+  const Instr* DefOf(uint32_t v) const {
+    return def_[v] == kNoDef ? nullptr : &out_.program.instrs[def_[v]];
+  }
+
+  void Append(const Instr& ins) {
+    def_[ins.out] = out_.program.instrs.size();
+    if (ins.kind == OpKind::kConcatAxis1) {
+      std::vector<uint32_t> leaves = Leaves(ins.in[0]);
+      for (uint32_t v : Leaves(ins.in[1])) leaves.push_back(v);
+      parts_[ins.out] = std::move(leaves);
+    }
+    out_.program.instrs.push_back(ins);
+  }
+
+  /// Evaluates \p ins on the traced inputs and appends it. It writes a new
+  /// value of \p shape, or \p existing, whose traced tensor it must then
+  /// reproduce bit-for-bit.
+  uint32_t Emit(Instr ins, std::vector<size_t> shape,
+                uint32_t existing = kNoValue) {
+    tensor::Tensor value = tensor::Tensor::Uninitialized(shape);
+    if (IsGather(ins.kind)) {
+      size_t w = 0;
+      const std::vector<int32_t>& src =
+          BindingSourceArray(batch_, ins.binding.source, &w);
+      const IndexBinding& b = ins.binding;
+      const size_t n = b.cols.size();
+      auto index = [&](size_t i) {
+        const int32_t sv = src[(i / n) * w + b.cols[i % n]];
+        return sv < 0 ? sv : sv + b.deltas[i % n];
+      };
+      ins.traced_indices.resize(batch_.batch_size * n);
+      for (size_t i = 0; i < ins.traced_indices.size(); ++i) {
+        ins.traced_indices[i] = index(i);
+      }
+      tensor::GatherRows(out_.value_nodes[ins.in[0]]->value, index, &value);
+    } else if (ins.kind == OpKind::kZeros) {
+      value.Zero();
+    } else {
+      std::vector<const tensor::Tensor*> in;
+      for (uint32_t u : ins.in) in.push_back(&out_.value_nodes[u]->value);
+      SEQFM_CHECK(EvalPure(ins, in, &value))
+          << "split_attention: impure op " << OpKindName(ins.kind);
+    }
+    bool variant = false;
+    if (IsGather(ins.kind)) {
+      variant = BindingUsesCandidate(ins.binding);
+    } else {
+      for (uint32_t u : ins.in) variant = variant || variant_[u] != 0;
+    }
+    if (existing != kNoValue) {
+      const tensor::Tensor& traced = out_.value_nodes[existing]->value;
+      if (traced.size() != value.size() ||
+          std::memcmp(traced.data(), value.data(),
+                      value.size() * sizeof(float)) != 0) {
+        error_ = std::string("split_attention: rewritten ") +
+                 OpKindName(ins.kind) +
+                 " value " + std::to_string(existing) +
+                 " diverges from the traced forward";
+      }
+      ins.out = existing;
+    } else {
+      ins.out = NewValue(ValueKind::kLocal, std::move(shape), std::move(value),
+                         variant);
+    }
+    Append(ins);
+    return ins.out;
+  }
+
+  uint32_t NewValue(ValueKind kind, std::vector<size_t> shape,
+                    tensor::Tensor value, bool variant) {
+    Value v;
+    v.kind = kind;
+    v.shape = std::move(shape);
+    v.offset = kNoOffset;
+    auto node = std::make_shared<autograd::Node>();
+    node->value = std::move(value);
+    out_.program.values.push_back(std::move(v));
+    out_.value_nodes.push_back(std::move(node));
+    variant_.push_back(variant ? 1 : 0);
+    parts_.emplace_back();
+    def_.push_back(kNoDef);
+    return static_cast<uint32_t>(out_.program.values.size() - 1);
+  }
+
+  /// Left-folds \p leaves into axis-1 concatenations (Append records their
+  /// row blocks); the last one writes \p existing when given.
+  uint32_t ConcatRows(const std::vector<uint32_t>& leaves,
+                      uint32_t existing = kNoValue) {
+    SEQFM_CHECK(!leaves.empty());
+    if (leaves.size() == 1 && existing == kNoValue) return leaves[0];
+    SEQFM_CHECK_GE(leaves.size(), 2u);
+    uint32_t acc = leaves[0];
+    for (size_t j = 1; j < leaves.size(); ++j) {
+      Instr c;
+      c.kind = OpKind::kConcatAxis1;
+      c.in = {acc, leaves[j]};
+      std::vector<size_t> shape = Val(acc).shape;
+      shape[1] += Rows(leaves[j]);
+      acc = Emit(std::move(c), std::move(shape),
+                 j + 1 == leaves.size() ? existing : kNoValue);
+    }
+    return acc;
+  }
+
+  /// The [rows, d] first batch item of a candidate-invariant [B, rows, d]
+  /// value: every item is equal, so it can be a GEMM's shared operand.
+  uint32_t FirstItem(uint32_t v) {
+    Instr s;
+    s.kind = OpKind::kSliceBlock;
+    s.in = {v};
+    return Emit(std::move(s), {Rows(v), Val(v).shape[2]});
+  }
+
+  /// A gather over the user and candidate columns becomes one gather per
+  /// run of columns with the same candidate-ness, concatenated on axis 1.
+  void SplitGather(const Instr& ins) {
+    const IndexBinding& b = ins.binding;
+    const size_t d = Val(ins.out).shape[2];
+    std::vector<uint32_t> leaves;
+    size_t j0 = 0;
+    while (j0 < b.cols.size()) {
+      const bool cand = b.cols[j0] == 1;
+      size_t j1 = j0 + 1;
+      while (j1 < b.cols.size() && (b.cols[j1] == 1) == cand) ++j1;
+      Instr g = ins;
+      g.binding.cols.assign(b.cols.begin() + j0, b.cols.begin() + j1);
+      g.binding.deltas.assign(b.deltas.begin() + j0, b.deltas.begin() + j1);
+      leaves.push_back(Emit(std::move(g), {src_.count, j1 - j0, d}));
+      j0 = j1;
+    }
+    ConcatRows(leaves, ins.out);
+  }
+
+  /// op(concat(A, B, ...)) -> concat(op(A), op(B), ...) for a row-wise op.
+  void PushThroughConcat(const Instr& ins) {
+    std::vector<uint32_t> leaves;
+    for (uint32_t leaf : Leaves(ins.in[0])) {
+      Instr op = ins;
+      op.in[0] = leaf;
+      std::vector<size_t> shape = Val(leaf).shape;
+      shape.back() = Val(ins.out).shape.back();
+      leaves.push_back(Emit(std::move(op), std::move(shape)));
+    }
+    ConcatRows(leaves, ins.out);
+  }
+
+  /// Matches H = Bmm(MaskedSoftmax([Scale](Bmm(Q, K^T)), M), V) over
+  /// row-blocked Q, K, V and rewrites it into one attention per row block of
+  /// Q over the column blocks the mask may leave open. False (nothing
+  /// emitted) when \p ins is not such a site or splitting gains nothing.
+  bool SplitAttentionAt(const Instr& h) {
+    if (h.kind != OpKind::kBmm || h.trans_a || h.trans_b) return false;
+    const Instr* soft = DefOf(h.in[0]);
+    if (soft == nullptr || soft->kind != OpKind::kMaskedSoftmax ||
+        soft->in.size() != 2) {
+      return false;
+    }
+    const uint32_t mask = soft->in[1];
+    const Instr* sd = DefOf(soft->in[0]);
+    const bool scaled = sd != nullptr && sd->kind == OpKind::kScale;
+    const float alpha = scaled ? sd->alpha : 0.0f;
+    if (scaled) sd = DefOf(sd->in[0]);
+    if (sd == nullptr || sd->kind != OpKind::kBmm || sd->trans_a ||
+        !sd->trans_b) {
+      return false;
+    }
+    const std::vector<uint32_t> lq = Leaves(sd->in[0]);
+    const std::vector<uint32_t> lk = Leaves(sd->in[1]);
+    const std::vector<uint32_t> lv = Leaves(h.in[1]);
+    if (lk.size() < 2 || lk.size() != lv.size()) return false;
+    for (size_t j = 0; j < lk.size(); ++j) {
+      if (Rows(lk[j]) != Rows(lv[j])) return false;
+    }
+    std::vector<uint32_t> all = lq;
+    all.insert(all.end(), lk.begin(), lk.end());
+    all.insert(all.end(), lv.begin(), lv.end());
+    if (!Mixed(all)) return false;
+
+    // Which mask entries may be open (not -inf) for some request.
+    const size_t rq = Rows(sd->in[0]);
+    const size_t rk = Rows(sd->in[1]);
+    const Value& mv = Val(mask);
+    const float* captured = nullptr;
+    size_t ns = 0;
+    if (mv.kind == ValueKind::kConstant &&
+        mv.shape == std::vector<size_t>{rq, rk}) {
+      captured = out_.program.constants[mv.index].data();
+    } else {
+      const Instr* md = DefOf(mask);
+      // nn::CrossMaskBlock: rows and columns of different category, and
+      // the diagonal of a static row whose history is all padding.
+      if (md == nullptr || md->kind != OpKind::kCrossPaddingMask ||
+          md->row == 0 || rq != rk || md->row + src_.n_seq != rk) {
+        return false;
+      }
+      ns = md->row;
+    }
+    auto open = [&](size_t r, size_t c) {
+      if (captured != nullptr) {
+        return captured[r * rk + c] != -std::numeric_limits<float>::infinity();
+      }
+      return (r < ns) != (c < ns) || (r == c && r < ns);
+    };
+
+    // Per row block: the range of column blocks it may attend to; the
+    // closed blocks inside that range become zero rows.
+    struct RowBlock {
+      size_t r0, first, last;
+      std::vector<char> open;
+    };
+    std::vector<size_t> c0(lk.size());
+    for (size_t j = 1; j < lk.size(); ++j) c0[j] = c0[j - 1] + Rows(lk[j - 1]);
+    std::vector<RowBlock> blocks;
+    bool gains = false;
+    size_t r0 = 0;
+    for (uint32_t q : lq) {
+      RowBlock blk{r0, lk.size(), 0, std::vector<char>(lk.size(), 0)};
+      for (size_t j = 0; j < lk.size(); ++j) {
+        for (size_t r = r0; r < r0 + Rows(q) && !blk.open[j]; ++r) {
+          for (size_t c = c0[j]; c < c0[j] + Rows(lk[j]); ++c) {
+            if (open(r, c)) {
+              blk.open[j] = 1;
+              break;
+            }
+          }
+        }
+        if (blk.open[j]) {
+          blk.first = std::min(blk.first, j);
+          blk.last = j;
+        } else {
+          gains = true;
+        }
+      }
+      if (blk.first == lk.size()) return false;  // fully masked rows
+      blocks.push_back(std::move(blk));
+      r0 += Rows(q);
+    }
+    if (!gains) return false;
+
+    std::vector<uint32_t> heads;
+    for (size_t i = 0; i < lq.size(); ++i) {
+      const RowBlock& blk = blocks[i];
+      const uint32_t q = lq[i];
+      std::vector<uint32_t> kw, vw;
+      for (size_t j = blk.first; j <= blk.last; ++j) {
+        if (blk.open[j]) {
+          kw.push_back(lk[j]);
+          vw.push_back(lv[j]);
+        } else {
+          kw.push_back(Zeros(Val(lk[j]).shape));
+          vw.push_back(Zeros(Val(lv[j]).shape));
+        }
+      }
+      const uint32_t k = ConcatRows(kw);
+      const uint32_t v = ConcatRows(vw);
+      const size_t col = c0[blk.first];
+      const size_t w = Rows(k);
+      const size_t batch = Val(q).shape[0];
+
+      // Scores; a candidate-invariant operand is shared across the batch.
+      Instr sc;
+      sc.trans_b = true;
+      if (variant_[q] && !variant_[k]) {
+        sc.kind = OpKind::kBmmShared;
+        sc.in = {q, FirstItem(k)};
+      } else if (!variant_[q] && variant_[k]) {
+        sc.kind = OpKind::kBmmLeftShared;
+        sc.in = {FirstItem(q), k};
+      } else {
+        sc.kind = OpKind::kBmm;
+        sc.in = {q, k};
+      }
+      uint32_t scores = Emit(std::move(sc), {batch, Rows(q), w});
+      if (scaled) {
+        Instr s;
+        s.kind = OpKind::kScale;
+        s.alpha = alpha;
+        s.in = {scores};
+        scores = Emit(std::move(s), {batch, Rows(q), w});
+      }
+
+      // The mask's [rows of the block, window columns] block.
+      uint32_t m;
+      if (captured != nullptr) {
+        tensor::Tensor t = tensor::Tensor::Uninitialized({Rows(q), w});
+        tensor::SliceBlock(out_.program.constants[mv.index], blk.r0, col, &t);
+        m = NewValue(ValueKind::kConstant, {Rows(q), w}, t, false);
+        out_.program.values[m].index =
+            static_cast<uint32_t>(out_.program.constants.size());
+        out_.program.constants.push_back(std::move(t));
+      } else {
+        Instr s;
+        s.kind = OpKind::kSliceBlock;
+        s.in = {mask};
+        s.row = static_cast<uint32_t>(blk.r0);
+        s.col = static_cast<uint32_t>(col);
+        m = Emit(std::move(s), {Rows(q), w});
+      }
+      Instr sm;
+      sm.kind = OpKind::kMaskedSoftmax;
+      sm.in = {scores, m};
+      const uint32_t p = Emit(std::move(sm), {batch, Rows(q), w});
+
+      Instr av;
+      if (variant_[p] && !variant_[v]) {
+        av.kind = OpKind::kBmmShared;
+        av.in = {p, FirstItem(v)};
+      } else if (!variant_[p] && variant_[v]) {
+        av.kind = OpKind::kBmmLeftShared;
+        av.in = {FirstItem(p), v};
+      } else {
+        av.kind = OpKind::kBmm;
+        av.in = {p, v};
+      }
+      heads.push_back(
+          Emit(std::move(av), {batch, Rows(q), Val(v).shape[2]}));
+    }
+    ConcatRows(heads, h.out);
+    ++sites_;
+    return true;
+  }
+
+  uint32_t Zeros(std::vector<size_t> shape) {
+    Instr z;
+    z.kind = OpKind::kZeros;
+    return Emit(std::move(z), std::move(shape));
+  }
+
+  const Program& src_;
+  const data::Batch& batch_;
+  const std::vector<IndexBinding>& bindings_;
+  std::vector<char> variant_;
+  TraceResult out_;
+  /// Per value: the row blocks it concatenates (empty: not a concatenation).
+  std::vector<std::vector<uint32_t>> parts_;
+  /// Per value: its defining instruction's index in out_.program.instrs.
+  std::vector<size_t> def_;
+  size_t sites_ = 0;
+  std::string error_;
+};
+
 }  // namespace
 
 FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
@@ -80,66 +587,15 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     res.error = "factor: need >= 2 candidates to disambiguate bindings";
     return res;
   }
-  if (p1.instrs.size() != pC.instrs.size() ||
-      p1.values.size() != pC.values.size()) {
-    res.error = "factor: traces diverge in length (count-dependent control "
-                "flow)";
-    return res;
-  }
-  for (size_t i = 0; i < p1.values.size(); ++i) {
-    if (!ValuesAlign(p1.values[i], pC.values[i])) {
-      res.error = "factor: value " + std::to_string(i) + " diverges";
-      return res;
-    }
-  }
+  std::vector<IndexBinding> bindings;
+  if (!AlignTraces(trace1, traceC, batch1, &bindings, &res.error)) return res;
 
-  // Align instructions and reconcile gather bindings. A count-1 fit can be
-  // ambiguous (one row cannot separate the user and candidate columns), so
-  // the count-C binding wins whenever both explain the count-1 indices.
-  std::vector<IndexBinding> bindings(p1.instrs.size());
-  for (size_t i = 0; i < p1.instrs.size(); ++i) {
-    const Instr& a = p1.instrs[i];
-    const Instr& b = pC.instrs[i];
-    if (!InstrsAlign(a, b)) {
-      res.error = "factor: instr " + std::to_string(i) + " (" +
-                  OpKindName(a.kind) + " vs " + OpKindName(b.kind) +
-                  ") diverges";
-      return res;
-    }
-    if (!IsGather(a.kind)) continue;
-    if (a.binding != b.binding) {
-      const size_t n = b.binding.cols.size();
-      if (a.traced_indices.size() != batch1.batch_size * n ||
-          !VerifyIndexBinding(b.binding, a.traced_indices.data(),
-                              batch1.batch_size, n, batch1)) {
-        res.error = "factor: gather binding at instr " + std::to_string(i) +
-                    " is not count-stable";
-        return res;
-      }
-    }
-    bindings[i] = b.binding;
-  }
-
-  // Structural taint: a value is candidate-variant when its instruction
-  // reads the candidate column (gathers) or any variant input (transitive).
-  // Synthesized masks depend only on the shared history. demoted[] carries
-  // empirical refutations into each re-propagation.
+  // Structural taint; demoted[] carries empirical refutations into each
+  // re-propagation.
   const size_t nvals = p1.values.size();
-  std::vector<char> variant(nvals, 0);
+  std::vector<char> variant;
   std::vector<char> demoted(nvals, 0);
-  auto propagate = [&]() {
-    std::fill(variant.begin(), variant.end(), 0);
-    for (size_t i = 0; i < pC.instrs.size(); ++i) {
-      const Instr& ins = pC.instrs[i];
-      bool v = demoted[ins.out] != 0;
-      if (IsGather(ins.kind)) {
-        v = v || BindingUsesCandidate(bindings[i]);
-      } else if (!IsSynthesized(ins.kind)) {
-        for (uint32_t u : ins.in) v = v || variant[u] != 0;
-      }
-      variant[ins.out] = v ? 1 : 0;
-    }
-  };
+  auto propagate = [&]() { PropagateTaint(pC, bindings, demoted, &variant); };
   propagate();
 
   // Empirical fixpoint: every structurally invariant value must have its
@@ -235,6 +691,30 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
   }
   res.body.uid = NextProgramUid();
   return res;
+}
+
+size_t SplitAttention(TraceResult* trace1, TraceResult* traceC,
+                      const data::Batch& batch1, const data::Batch& batchC) {
+  std::vector<IndexBinding> bindings;
+  std::string error;
+  if (traceC->program.count < 2 ||
+      !AlignTraces(*trace1, *traceC, batch1, &bindings, &error)) {
+    return 0;  // Factor reports the misalignment
+  }
+  std::vector<char> variant;
+  PropagateTaint(traceC->program, bindings,
+                 std::vector<char>(traceC->program.values.size(), 0),
+                 &variant);
+  BlockSplitter s1(*trace1, batch1, bindings, variant);
+  BlockSplitter sC(*traceC, batchC, bindings, variant);
+  if (!s1.Run(&error) || !sC.Run(&error)) {
+    SEQFM_LOG(Warning) << "ir: " << error << "; compiling unsplit";
+    return 0;
+  }
+  if (sC.sites() == 0 || s1.sites() != sC.sites()) return 0;
+  *trace1 = s1.Take();
+  *traceC = sC.Take();
+  return sC.sites();
 }
 
 size_t FoldConstants(Program* program) {

@@ -19,8 +19,9 @@ namespace ir {
 ///   body      — the per-candidate sub-program at count C, reading the
 ///               prologue's outputs through kSlot values (tiled to count C
 ///               where shapes demand it).
-/// Each sub-program then goes through FoldConstants → DeadCodeElim →
-/// FuseElementwise → PlanArena before execution.
+/// SplitAttention runs on the two traces first. Each sub-program then goes
+/// through FoldConstants → DeadCodeElim → FuseElementwise → PlanArena before
+/// execution.
 
 struct FactorResult {
   Program prologue;
@@ -29,6 +30,32 @@ struct FactorResult {
 
   bool ok() const { return error.empty(); }
 };
+
+/// Splits attention over row-blocked inputs into per-block attention, on
+/// both traces alike, before Factor. Three rewrites:
+///   - a gather that reads the candidate column and another column becomes
+///     one gather per run of columns, concatenated on axis 1;
+///   - a row-wise op (bmm_shared, add_bias, layer_norm, unary maps) over an
+///     axis-1 concatenation of candidate-invariant and candidate-variant
+///     rows becomes the concatenation of the op on each row block;
+///   - Bmm(MaskedSoftmax([Scale] Bmm(Q, K^T), M), V) over row-blocked Q,
+///     K, V becomes one attention per row block of Q over the column blocks
+///     M may leave open (a captured [rows, cols] mask is read; SeqFM's
+///     cross_padding_mask is known by construction), concatenated on axis
+///     1. Closed blocks inside a row block's window become zero rows, and a
+///     candidate-invariant GEMM operand is passed as a shared [rows, d]
+///     matrix (slice_block of batch item 0). Dropped columns only ever
+///     held exact-zero probabilities, and the lane-blocked softmax
+///     reductions are invariant under the lane rotation a window causes
+///     (tensor/kernels.h), so every kept probability keeps its bits.
+/// Factor's taint and tiling check then hoist the invariant blocks into the
+/// prologue. Each new instruction is evaluated on the traced tensors, and
+/// every value a rewrite replaces must come out bit-identical, so scores
+/// stay bit-identical to the eager forward. The rewrites are kept only when
+/// an attention site was split: other programs are left exactly as traced.
+/// Returns the number of attention sites split.
+size_t SplitAttention(TraceResult* trace1, TraceResult* traceC,
+                      const data::Batch& batch1, const data::Batch& batchC);
 
 /// Factors aligned traces of the same model. \p trace1 ran at candidate
 /// count 1 and \p traceC at count >= 2 (two distinct candidates are what

@@ -64,9 +64,10 @@ struct Instr {
   // Scalar attributes (only the fields the kind needs are meaningful).
   float alpha = 0.0f;    // scale / add_scalar / reduce_axis1
   float eps = 0.0f;      // layer_norm
-  uint32_t row = 0;      // slice_row; cross-padding mask's n_static
+  uint32_t row = 0;      // slice_row; slice_block; cross-padding mask's n_static
+  uint32_t col = 0;      // slice_block
   bool trans_a = false;  // bmm
-  bool trans_b = false;
+  bool trans_b = false;  // bmm; bmm_shared and bmm_left_shared (right operand)
   bool causal = false;  // padding mask
   IndexBinding binding;  // embedding gathers
   /// Gathers only: the index matrix observed at trace time, kept so passes

@@ -17,24 +17,10 @@ namespace {
 /// every gather, so they only need to agree in sign.
 bool BindingMatches(const IndexBinding& binding, const int32_t* idx,
                     size_t batch, size_t n, const data::Batch& src_batch) {
-  const std::vector<int32_t>* src = nullptr;
+  if (binding.source == IndexSource::kNone) return false;
   size_t w = 0;
-  switch (binding.source) {
-    case IndexSource::kDynamic:
-      src = &src_batch.dynamic_ids;
-      w = src_batch.n_seq;
-      break;
-    case IndexSource::kStatic:
-      src = &src_batch.static_ids;
-      w = src_batch.n_static;
-      break;
-    case IndexSource::kUnified:
-      src = &src_batch.unified_ids;
-      w = src_batch.n_unified;
-      break;
-    case IndexSource::kNone:
-      return false;
-  }
+  const std::vector<int32_t>* src =
+      &BindingSourceArray(src_batch, binding.source, &w);
   if (binding.cols.size() != n || binding.deltas.size() != n) return false;
   if (src->size() != batch * w) return false;
   for (size_t j = 0; j < n; ++j) {
@@ -280,6 +266,25 @@ class ScopedSink {
 };
 
 }  // namespace
+
+const std::vector<int32_t>& BindingSourceArray(const data::Batch& batch,
+                                               IndexSource source,
+                                               size_t* width) {
+  switch (source) {
+    case IndexSource::kStatic:
+      *width = batch.n_static;
+      return batch.static_ids;
+    case IndexSource::kUnified:
+      *width = batch.n_unified;
+      return batch.unified_ids;
+    case IndexSource::kDynamic:
+    case IndexSource::kNone:
+      break;
+  }
+  SEQFM_CHECK(source == IndexSource::kDynamic) << "binding without a source";
+  *width = batch.n_seq;
+  return batch.dynamic_ids;
+}
 
 bool VerifyIndexBinding(const IndexBinding& binding, const int32_t* idx,
                         size_t batch, size_t n,

@@ -36,6 +36,12 @@ struct TraceResult {
 /// does, and results are discarded on error.
 TraceResult Trace(core::Model* model, const data::Batch& batch);
 
+/// The request index array a binding source reads in \p batch, and (into
+/// \p width) its row width. \p source must not be kNone.
+const std::vector<int32_t>& BindingSourceArray(const data::Batch& batch,
+                                               IndexSource source,
+                                               size_t* width);
+
 /// True when \p binding reproduces the observed index matrix \p idx
 /// ([batch, n] row-major) from \p src_batch's request arrays: non-negative
 /// entries must equal src + delta exactly, negative (padding) entries only

@@ -79,6 +79,28 @@ Status CheckBinding(const Program& p, size_t i, const Instr& ins) {
   return Status::OK();
 }
 
+/// Attributes an op does not read must stay at their defaults, so a pass
+/// cannot attach a transpose or block origin that the executor
+/// would silently ignore.
+Status CheckAttributes(size_t i, const Instr& ins) {
+  const bool bmm = ins.kind == OpKind::kBmm;
+  const bool right_trans = bmm || ins.kind == OpKind::kBmmShared ||
+                           ins.kind == OpKind::kBmmLeftShared;
+  if (ins.trans_a && !bmm) {
+    return Status::Internal(At(i, ins) + "trans_a set on a non-bmm op");
+  }
+  if (ins.trans_b && !right_trans) {
+    return Status::Internal(At(i, ins) +
+                            "trans_b set on an op without a right operand "
+                            "transpose");
+  }
+  if (ins.col != 0 && ins.kind != OpKind::kSliceBlock) {
+    return Status::Internal(At(i, ins) +
+                            "block column set on a non-slice_block op");
+  }
+  return Status::OK();
+}
+
 /// Per-op agreement with the executor's shape contracts: every dim() the
 /// tensor:: kernel behind an EvalPure case (the same kernel the eager op
 /// calls) or a RunProgram gather/mask reads has a matching relation here,
@@ -166,16 +188,19 @@ Status CheckInstrShapes(const Program& p, size_t i, const Instr& ins) {
       return Status::OK();
     }
     case OpKind::kBmmShared: {
+      // trans_b: the shared operand is stored [n, k].
       SEQFM_RETURN_NOT_OK(want_arity(2));
       SEQFM_RETURN_NOT_OK(want_rank(0, 3));
       SEQFM_RETURN_NOT_OK(want_rank(1, 2));
       const Value& a = in_val(0);
       const Value& w = in_val(1);
-      if (Dim(a, 2) != Dim(w, 0)) {
+      const size_t kw = ins.trans_b ? Dim(w, 1) : Dim(w, 0);
+      const size_t n = ins.trans_b ? Dim(w, 0) : Dim(w, 1);
+      if (Dim(a, 2) != kw) {
         return err("shape mismatch: inner dims " + std::to_string(Dim(a, 2)) +
-                   " vs " + std::to_string(Dim(w, 0)));
+                   " vs " + std::to_string(kw));
       }
-      if (out.size() != Dim(a, 0) * Dim(a, 1) * Dim(w, 1)) {
+      if (out.size() != Dim(a, 0) * Dim(a, 1) * n) {
         return err("shape mismatch: out is not [batch, m, n]");
       }
       return Status::OK();
@@ -201,16 +226,19 @@ Status CheckInstrShapes(const Program& p, size_t i, const Instr& ins) {
       return Status::OK();
     }
     case OpKind::kBmmLeftShared: {
+      // trans_b: each batch item of the right operand is stored [d, h].
       SEQFM_RETURN_NOT_OK(want_arity(2));
       SEQFM_RETURN_NOT_OK(want_rank(0, 2));
       SEQFM_RETURN_NOT_OK(want_rank(1, 3));
       const Value& w = in_val(0);
       const Value& x = in_val(1);
-      if (Dim(w, 1) != Dim(x, 1)) {
+      const size_t h = ins.trans_b ? Dim(x, 2) : Dim(x, 1);
+      const size_t d = ins.trans_b ? Dim(x, 1) : Dim(x, 2);
+      if (Dim(w, 1) != h) {
         return err("shape mismatch: inner dims " + std::to_string(Dim(w, 1)) +
-                   " vs " + std::to_string(Dim(x, 1)));
+                   " vs " + std::to_string(h));
       }
-      if (out.size() != Dim(x, 0) * Dim(w, 0) * Dim(x, 2)) {
+      if (out.size() != Dim(x, 0) * Dim(w, 0) * d) {
         return err("shape mismatch: out is not [batch, h2, d]");
       }
       return Status::OK();
@@ -302,6 +330,22 @@ Status CheckInstrShapes(const Program& p, size_t i, const Instr& ins) {
       }
       if (out.size() != Dim(x, 0) * Dim(x, 2)) {
         return err("shape mismatch: out is not [batch, d]");
+      }
+      return Status::OK();
+    }
+    case OpKind::kSliceBlock: {
+      SEQFM_RETURN_NOT_OK(want_arity(1));
+      if (Rank(out) != 2) return err("shape mismatch: out must be rank-2");
+      const Value& x = in_val(0);
+      const size_t w = x.shape.empty() ? 0 : x.shape.back();
+      const size_t rows = w == 0 ? 0 : x.size() / w;
+      if (ins.row + Dim(out, 0) > rows || ins.col + Dim(out, 1) > w) {
+        return err("block [" + std::to_string(ins.row) + " +" +
+                   std::to_string(Dim(out, 0)) + ", " +
+                   std::to_string(ins.col) + " +" +
+                   std::to_string(Dim(out, 1)) + "] exceeds the " +
+                   std::to_string(rows) + " x " + std::to_string(w) +
+                   " input matrix");
       }
       return Status::OK();
     }
@@ -600,6 +644,7 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
       return Status::Internal(At(i, ins) +
                               "non-gather op carries an index binding");
     }
+    SEQFM_RETURN_NOT_OK(CheckAttributes(i, ins));
     SEQFM_RETURN_NOT_OK(CheckInstrShapes(p, i, ins));
   }
 

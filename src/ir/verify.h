@@ -27,7 +27,10 @@ namespace ir {
 ///     once (SSA), every read of a local happens after its definition;
 ///   - per-op agreement with the executor's shape contracts (arity, ranks,
 ///     inner-dimension matches, elementwise size equality — the same
-///     relations EvalPure / RunProgram index by);
+///     relations EvalPure / RunProgram index by), including slice_block's
+///     block bounds;
+///   - attribute hygiene: transposes and block columns appear only on the
+///     ops that read them;
 ///   - value-kind soundness: params are live non-null nodes, constant
 ///     indices address Program::constants with matching element counts,
 ///     kSlot reads appear only where the caller allows them and stay inside

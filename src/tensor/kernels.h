@@ -35,7 +35,14 @@ namespace kernels {
 ///        t0=l0+l4  t1=l1+l5  t2=l2+l6  t3=l3+l7
 ///        u0=t0+t2  u1=t1+t3  result=u0+u1
 ///    which is exactly the AVX2 128-bit-halves/movehl/shuffle horizontal
-///    reduce. The scalar implementations follow the same order, and
+///    reduce. Both trees are invariant under a cyclic rotation of the
+///    lanes: they pair lanes l and l+4, then l and l+2, mod 8 (the max tree
+///    only up to the sign of a zero maximum, which exp(x - max) cannot
+///    see). So reducing a row's columns [p, q) on their own gives the bits
+///    of reducing the whole row when every other column adds an exact zero
+///    (or, for max, -inf): each lane holds the same residue class of
+///    columns in the same order, relabelled by p mod 8. ir::SplitAttention
+///    relies on this for the softmax rows it narrows. The scalar implementations follow the same order, and
 ///    tensor::GemmReference is generalized to it for transposed-B dot
 ///    products, so the oracle, the scalar kernels, and the AVX2 kernels all
 ///    agree to the last bit at any size, including 0/1 and non-multiple-of-8

@@ -372,14 +372,16 @@ void AddBroadcastBatch(const Tensor& in, const Tensor& table, Tensor* out) {
   });
 }
 
-void BatchedMatMulLeftShared(const Tensor& w, const Tensor& p, Tensor* out) {
+void BatchedMatMulLeftShared(const Tensor& w, const Tensor& p, Tensor* out,
+                             bool trans_p) {
   const size_t batch = p.dim(0);
-  const size_t h2 = w.dim(0), h = w.dim(1), d = p.dim(2);
+  const size_t h2 = w.dim(0), h = w.dim(1);
+  const size_t d = trans_p ? p.dim(1) : p.dim(2);
   util::ParallelFor(batch, GrainForRows(h2 * h * d, util::kMinParallelWork),
-                    [&, h2, h, d](size_t b0, size_t b1) {
+                    [&, h2, h, d, trans_p](size_t b0, size_t b1) {
     for (size_t b = b0; b < b1; ++b) {
-      Gemm(w.data(), p.BatchData(b), out->BatchData(b), h2, h, d, false, false,
-           false);
+      Gemm(w.data(), p.BatchData(b), out->BatchData(b), h2, h, d, false,
+           trans_p, false);
     }
   });
 }
@@ -462,6 +464,18 @@ void SliceRow(const Tensor& in, size_t row, Tensor* out) {
     const float* src = in.BatchData(b) + row * d;
     float* dst = out->data() + b * d;
     for (size_t j = 0; j < d; ++j) dst[j] = src[j];
+  }
+}
+
+void SliceBlock(const Tensor& in, size_t row, size_t col, Tensor* out) {
+  const size_t w = in.shape().back();
+  const size_t m = out->dim(0), n = out->dim(1);
+  SEQFM_CHECK_LE((row + m) * w, in.size());
+  SEQFM_CHECK_LE(col + n, w);
+  for (size_t i = 0; i < m; ++i) {
+    const float* src = in.data() + (row + i) * w + col;
+    float* dst = out->data() + i * n;
+    for (size_t j = 0; j < n; ++j) dst[j] = src[j];
   }
 }
 

@@ -85,8 +85,10 @@ void AddBiasLastDim(const Tensor& in, const Tensor& bias, Tensor* out);
 /// Broadcast-add a rank-2 [n, d] table over the batch of in [B, n, d].
 void AddBroadcastBatch(const Tensor& in, const Tensor& table, Tensor* out);
 
-/// out[b] = W · P[b] for W [h2, h] and P [B, h, d] -> [B, h2, d].
-void BatchedMatMulLeftShared(const Tensor& w, const Tensor& p, Tensor* out);
+/// out[b] = W · P[b] for W [h2, h] and P [B, h, d] -> [B, h2, d]; with
+/// \p trans_p, out[b] = W · P[b]^T for P [B, d, h].
+void BatchedMatMulLeftShared(const Tensor& w, const Tensor& p, Tensor* out,
+                             bool trans_p = false);
 
 /// Row-wise dot product of two [B, d] tensors -> [B, 1].
 void RowDot(const Tensor& a, const Tensor& b, Tensor* out);
@@ -107,6 +109,9 @@ void ConcatLastDim(const std::vector<const Tensor*>& parts, Tensor* out);
 void ConcatAxis1(const Tensor& a, const Tensor& b, Tensor* out);
 /// Row \p row of axis 1: [B, n, d] -> [B, d].
 void SliceRow(const Tensor& in, size_t row, Tensor* out);
+/// The [m, n] block of \p in, viewed as a matrix [in.size / w, w] with w its
+/// last dim, whose top-left element is (row, col); out is [m, n].
+void SliceBlock(const Tensor& in, size_t row, size_t col, Tensor* out);
 /// Flat element copy between tensors of equal size (reshape).
 void Copy(const Tensor& in, Tensor* out);
 /// Repeats each row of in [B, d] out.dim(1) times -> [B, n, d].

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "autograd/ops.h"
 #include "core/seqfm.h"
@@ -220,6 +221,39 @@ TEST(SeqFmTest, PaddingMaskingChangesScores) {
   auto batch = MakeBatch(space, 5, {{2}}, {1}, {4});
   EXPECT_NE(m_with.Score(batch, false).value().at(0, 0),
             m_without.Score(batch, false).value().at(0, 0));
+}
+
+TEST(SeqFmTest, OtherStaticLayoutsLeaveTheModelUntouched) {
+  // A batch with one static feature per sample (no candidate column) needs
+  // a 1 + n cross mask; Score builds it per call and writes no model state,
+  // so both layouts can be scored concurrently, in any order.
+  data::FeatureSpace space(3, 5);
+  SeqFm model(space, SmallConfig());
+  SeqFm fresh(space, SmallConfig());
+  const data::Batch standard = MakeBatch(space, 5, {{0, 1, 2}}, {1}, {4});
+  data::Batch user_only = standard;
+  user_only.n_static = 1;
+  user_only.static_ids = {standard.static_ids[0]};
+  const float want_standard = fresh.Score(standard, false).value().at(0, 0);
+  const float want_user_only = fresh.Score(user_only, false).value().at(0, 0);
+  float got_standard[2], got_user_only[2];
+  std::thread worker([&] {
+    autograd::NoGradGuard no_grad;
+    for (float& v : got_user_only) {
+      v = model.Score(user_only, false).value().at(0, 0);
+    }
+  });
+  {
+    autograd::NoGradGuard no_grad;
+    for (float& v : got_standard) {
+      v = model.Score(standard, false).value().at(0, 0);
+    }
+  }
+  worker.join();
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(got_standard[i], want_standard);
+    EXPECT_EQ(got_user_only[i], want_user_only);
+  }
 }
 
 TEST(SeqFmTest, CheckpointRoundTripPreservesScores) {

@@ -79,12 +79,38 @@ core::SeqFmConfig SmallSeqFmConfig() {
   return cfg;
 }
 
+/// SeqFM configurations whose attention sites split differently: each view
+/// alone removed, the padding-aware cross mask, one FFN layer, and a
+/// sequence length and dimension that are not multiples of the 8 reduction
+/// lanes (so the softmax and dot-product tails run, with and without the
+/// padding-aware mask).
+std::vector<std::string> SeqFmVariants() {
+  return {"SeqFM/no_static", "SeqFM/no_dynamic", "SeqFM/no_cross",
+          "SeqFM/pad_keys",  "SeqFM/ffn1",       "SeqFM/seq13_dim12",
+          "SeqFM/seq13_dim12_pad_keys"};
+}
+
+/// Sequence length a model name is built for (SeqFM/seq13* variants: 13).
+size_t SeqLenFor(const std::string& name) {
+  return name.find("seq13") != std::string::npos ? 13 : kSeqLen;
+}
+
 std::unique_ptr<core::Model> MakeModelByName(const std::string& name,
                                              const data::FeatureSpace& space,
                                              uint64_t seed = 0) {
-  if (name == "SeqFM") {
+  if (name.rfind("SeqFM", 0) == 0) {
     core::SeqFmConfig cfg = SmallSeqFmConfig();
     if (seed != 0) cfg.seed = seed;
+    auto has = [&](const char* tag) {
+      return name.find(tag) != std::string::npos;
+    };
+    cfg.use_static_view = !has("no_static");
+    cfg.use_dynamic_view = !has("no_dynamic");
+    cfg.use_cross_view = !has("no_cross");
+    cfg.mask_padding_keys = has("pad_keys");
+    if (has("ffn1")) cfg.ffn_layers = 1;
+    if (has("dim12")) cfg.embedding_dim = 12;
+    cfg.max_seq_len = SeqLenFor(name);
     return std::make_unique<core::SeqFm>(space, cfg);
   }
   baselines::BaselineConfig cfg = SmallBaselineConfig();
@@ -548,6 +574,55 @@ TEST(VerifierTest, RejectsOutOfRangeBindingColumn) {
   ExpectVerifyRejects(p, "binding column 5 (position 0) exceeds source width 2");
 }
 
+TEST(VerifierTest, RejectsSliceBlockOutsideItsInput) {
+  ir::Program p;
+  const uint32_t m = AddConstant(&p, tensor::Tensor::Ones({3, 4}));
+  const uint32_t blk = AddLocal(&p, {2, 3});
+  AddInstr(&p, ir::OpKind::kSliceBlock, {m}, blk);
+  p.instrs.back().row = 1;
+  p.instrs.back().col = 1;
+  p.output = blk;
+  const Status ok = ir::Verify(p);
+  ASSERT_TRUE(ok.ok()) << ok.message();
+
+  p.instrs.back().col = 2;  // columns 2..4 of a 4-wide matrix
+  ExpectVerifyRejects(p, "block [1 +2, 2 +3] exceeds the 3 x 4 input matrix");
+  p.instrs.back().col = 1;
+  p.instrs.back().row = 2;  // rows 2..3 of 3
+  ExpectVerifyRejects(p, "exceeds the 3 x 4 input matrix");
+  p.instrs.back().row = 1;
+  p.values[blk].shape = {6};  // a block is a matrix
+  ExpectVerifyRejects(p, "out must be rank-2");
+}
+
+TEST(VerifierTest, RejectsSharedOperandTransposesThatDoNotFit) {
+  // q [2, 1, 4] against a shared key matrix stored [5, 4]: scores [2, 1, 5].
+  ir::Program p;
+  const uint32_t q = AddConstant(&p, tensor::Tensor::Ones({2, 1, 4}));
+  const uint32_t keys = AddConstant(&p, tensor::Tensor::Ones({5, 4}));
+  const uint32_t scores = AddLocal(&p, {2, 1, 5});
+  AddInstr(&p, ir::OpKind::kBmmShared, {q, keys}, scores);
+  p.instrs.back().trans_b = true;
+  // A shared query block [3, 4] against per-item keys [2, 2, 4]: [2, 3, 2].
+  const uint32_t qs = AddConstant(&p, tensor::Tensor::Ones({3, 4}));
+  const uint32_t k = AddConstant(&p, tensor::Tensor::Ones({2, 2, 4}));
+  const uint32_t left = AddLocal(&p, {2, 3, 2});
+  AddInstr(&p, ir::OpKind::kBmmLeftShared, {qs, k}, left);
+  p.instrs.back().trans_b = true;
+  p.output = left;
+  const Status ok = ir::Verify(p);
+  ASSERT_TRUE(ok.ok()) << ok.message();
+
+  p.instrs[0].trans_b = false;  // [4] x [5, 4] does not chain
+  ExpectVerifyRejects(p, "instr #0 (bmm_shared): shape mismatch: inner dims 4 vs 5");
+  p.instrs[0].trans_b = true;
+  p.instrs[1].trans_b = false;  // W [3, 4] x P[b] [2, 4] does not chain
+  ExpectVerifyRejects(p, "instr #1 (bmm_left_shared): shape mismatch: inner dims 4 vs 2");
+  p.instrs[1].trans_b = true;
+  p.instrs[1].trans_a = true;
+  ExpectVerifyRejects(p, "trans_a set on a non-bmm op");
+}
+
 TEST(VerifierTest, RejectsIllegalFusionAlias) {
   ir::Program p = SmallValidProgram();
   // kAdd is not a pointwise in-place op: writing its output over in[0]
@@ -612,14 +687,19 @@ TEST_P(VerifierPipelineTest, EveryPassLeavesTheProgramVerifierClean) {
   const data::Batch b1 = ServingBatch(builder, ex, {0});
   const data::Batch bC = ServingBatch(builder, ex, {0, 3, 7, 8});
 
-  const ir::TraceResult t1 = ir::Trace(model.get(), b1);
-  const ir::TraceResult tC = ir::Trace(model.get(), bC);
+  ir::TraceResult t1 = ir::Trace(model.get(), b1);
+  ir::TraceResult tC = ir::Trace(model.get(), bC);
   ASSERT_TRUE(t1.ok()) << GetParam() << ": " << t1.error;
   ASSERT_TRUE(tC.ok()) << GetParam() << ": " << tC.error;
   Status st = ir::Verify(t1.program);
   EXPECT_TRUE(st.ok()) << GetParam() << " trace(1): " << st.message();
   st = ir::Verify(tC.program);
   EXPECT_TRUE(st.ok()) << GetParam() << " trace(C): " << st.message();
+  ir::SplitAttention(&t1, &tC, b1, bC);
+  st = ir::Verify(t1.program);
+  EXPECT_TRUE(st.ok()) << GetParam() << " split(1): " << st.message();
+  st = ir::Verify(tC.program);
+  EXPECT_TRUE(st.ok()) << GetParam() << " split(C): " << st.message();
 
   ir::FactorResult f = ir::Factor(t1, tC, b1, bC);
   ASSERT_TRUE(f.ok()) << GetParam() << ": " << f.error;
@@ -671,7 +751,7 @@ class CompiledParityTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
   const data::FeatureSpace space = SmallSpace();
-  data::BatchBuilder builder(space, kSeqLen);
+  data::BatchBuilder builder(space, SeqLenFor(GetParam()));
   auto model = MakeModelByName(GetParam(), space);
 
   serve::PredictorOptions compiled_opts;
@@ -686,8 +766,8 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
   // FM family embeds one unified (user, candidate, history) row through a
   // single candidate-dependent gather — zero slots is correct there.
   const bool sequence_model =
-      GetParam() == "SeqFM" || GetParam() == "DIN" || GetParam() == "SASRec" ||
-      GetParam() == "TFM" || GetParam() == "RRN";
+      GetParam().rfind("SeqFM", 0) == 0 || GetParam() == "DIN" ||
+      GetParam() == "SASRec" || GetParam() == "TFM" || GetParam() == "RRN";
   if (sequence_model) {
     EXPECT_GT(compiled.engine()->num_slots(), 0u) << GetParam();
   }
@@ -751,6 +831,121 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(AllModels, CompiledParityTest,
                          ::testing::ValuesIn(AllModels()),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (!isalnum(static_cast<unsigned char>(c))) {
+                               c = '_';
+                             }
+                           }
+                           return name;
+                         });
+
+INSTANTIATE_TEST_SUITE_P(SeqFmVariants, CompiledParityTest,
+                         ::testing::ValuesIn(SeqFmVariants()),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (!isalnum(static_cast<unsigned char>(c))) {
+                               c = '_';
+                             }
+                           }
+                           return name;
+                         });
+
+// ---------------------------------------------------------------------------
+// Attention row blocks: SeqFM's cross view costs O(n·d) per candidate, and
+// every program without a splittable site compiles exactly as traced.
+// ---------------------------------------------------------------------------
+
+/// Runs the compiler's pipeline up to Factor for SeqFM with its default
+/// configuration (d = 64, n = 20), optionally with the padding-aware mask.
+ir::FactorResult FactorDefaultSeqFm(bool mask_padding_keys, size_t count,
+                                    size_t* sites) {
+  const data::FeatureSpace space = SmallSpace();
+  core::SeqFmConfig cfg;
+  cfg.mask_padding_keys = mask_padding_keys;
+  core::SeqFm model(space, cfg);
+  data::BatchBuilder builder(space, cfg.max_seq_len);
+  const data::SequenceExample ex = TestExamples()[0];
+  std::vector<int32_t> cands(count);
+  for (size_t i = 0; i < count; ++i) cands[i] = static_cast<int32_t>(i);
+  const data::Batch b1 = ServingBatch(builder, ex, {0});
+  const data::Batch bC = ServingBatch(builder, ex, cands);
+  ir::TraceResult t1 = ir::Trace(&model, b1);
+  ir::TraceResult tC = ir::Trace(&model, bC);
+  EXPECT_TRUE(t1.ok() && tC.ok());
+  *sites = ir::SplitAttention(&t1, &tC, b1, bC);
+  return ir::Factor(t1, tC, b1, bC);
+}
+
+TEST(SplitAttentionTest, SeqFmBodyHoldsNoPerCandidateScoreSquare) {
+  for (const bool pad_keys : {false, true}) {
+    const std::string name = pad_keys ? "pad_keys" : "default";
+    constexpr size_t kCount = 4;
+    size_t sites = 0;
+    const ir::FactorResult f = FactorDefaultSeqFm(pad_keys, kCount, &sites);
+    ASSERT_TRUE(f.ok()) << name << ": " << f.error;
+    EXPECT_EQ(sites, 1u) << name << ": the cross view splits";
+    const ir::Program& body = f.body;
+    const size_t r = 2 + core::SeqFmConfig().max_seq_len;  // stacked rows
+    size_t shared_gemms = 0;
+    for (const ir::Instr& ins : body.instrs) {
+      const std::vector<size_t>& shape = body.values[ins.out].shape;
+      const bool square =
+          (shape.size() == 3 && shape[1] == r && shape[2] == r) ||
+          (shape.size() == 2 && shape[0] == kCount * r && shape[1] == r);
+      EXPECT_FALSE(square) << name << ": body " << ir::OpKindName(ins.kind)
+                           << " holds a per-candidate " << r << "x" << r
+                           << " block";
+      if (ins.kind != ir::OpKind::kBmmShared) continue;
+      ++shared_gemms;
+      const std::vector<size_t>& a = body.values[ins.in[0]].shape;
+      ASSERT_EQ(a.size(), 3u);
+      EXPECT_EQ(a[0], kCount) << name;
+      EXPECT_EQ(a[1], 1u) << name << ": a body bmm_shared reads " << a[1]
+                          << " rows per candidate";
+    }
+    // The candidate row's static- and cross-view q/k/v projections; with
+    // the captured cross mask also its scores against, and its sum over,
+    // the shared history keys and values.
+    EXPECT_EQ(shared_gemms, pad_keys ? 6u : 8u) << name;
+  }
+}
+
+/// Every baseline traces to a program without a splittable attention site,
+/// so the rewrite leaves both traces exactly as recorded: their compiled
+/// programs, instruction counts and bits are what they were without it.
+class SplitAttentionBaselineTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SplitAttentionBaselineTest, LeavesTheTracesUntouched) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  auto model = MakeModelByName(GetParam(), space);
+  const data::SequenceExample ex = TestExamples()[0];
+  const data::Batch b1 = ServingBatch(builder, ex, {0});
+  const data::Batch bC = ServingBatch(builder, ex, {0, 3, 7, 8});
+  ir::TraceResult t1 = ir::Trace(model.get(), b1);
+  ir::TraceResult tC = ir::Trace(model.get(), bC);
+  ASSERT_TRUE(t1.ok() && tC.ok()) << GetParam();
+  const ir::TraceResult before1 = t1;
+  const ir::TraceResult beforeC = tC;
+  EXPECT_EQ(ir::SplitAttention(&t1, &tC, b1, bC), 0u) << GetParam();
+  for (const auto& [got, want] :
+       {std::make_pair(&t1, &before1), std::make_pair(&tC, &beforeC)}) {
+    ASSERT_EQ(got->program.instrs.size(), want->program.instrs.size());
+    ASSERT_EQ(got->program.values.size(), want->program.values.size());
+    for (size_t i = 0; i < got->program.instrs.size(); ++i) {
+      EXPECT_EQ(got->program.instrs[i].kind, want->program.instrs[i].kind);
+      EXPECT_EQ(got->program.instrs[i].in, want->program.instrs[i].in);
+      EXPECT_EQ(got->program.instrs[i].out, want->program.instrs[i].out);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBaselines, SplitAttentionBaselineTest,
+                         ::testing::ValuesIn(AllBaselines()),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& c : name) {

@@ -381,6 +381,61 @@ TEST(GemmSimdTest, SoftmaxOpParityIncludingMasks) {
   EXPECT_NEAR(total, 1.0f, 1e-5f);
 }
 
+TEST(GemmSimdTest, SoftmaxOfAMaskedRowsWindowMatchesTheFullRow) {
+  // A row whose columns [0, p) and [p + w, p + w + 3) are masked: softmax
+  // over the window [p, p + w) alone must reproduce the full row's
+  // probabilities bit-for-bit, at every SIMD level, across 8-lane tails.
+  // The window reduces each column in lane (c - p) % 8, not c % 8; the
+  // lane-blocked combine trees are invariant under that rotation.
+  // ir::SplitAttention narrows SeqFM's cross-view rows this way.
+  SimdLevelRestorer restore;
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (Avx2Usable()) levels.push_back(SimdLevel::kAvx2);
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(7);
+  for (SimdLevel level : levels) {
+    util::SetSimdLevel(level);
+    for (size_t p : {1u, 2u, 3u, 7u, 8u, 10u}) {
+      for (size_t w : {1u, 5u, 8u, 13u, 20u}) {
+        const size_t cols = p + w + 3;
+        Tensor x({2, 3, cols}), mask({3, cols});
+        for (size_t i = 0; i < x.size(); ++i) {
+          x.data()[i] = static_cast<float>(rng.Uniform(-6.0, 6.0));
+        }
+        for (size_t r = 0; r < 3; ++r) {
+          for (size_t c = 0; c < cols; ++c) {
+            const bool in_window = c >= p && c < p + w;
+            // Row 1 also masks one column inside the window.
+            const bool hole = r == 1 && w > 1 && c == p + 1;
+            mask.at(r, c) = in_window && !hole ? 0.0f : -inf;
+          }
+        }
+        Tensor full({2, 3, cols});
+        tensor::SoftmaxLastDim(x, &mask, &full);
+        Tensor xw({2, 3, w}), mw({3, w}), yw({2, 3, w});
+        for (size_t b = 0; b < 2; ++b) {
+          for (size_t r = 0; r < 3; ++r) {
+            for (size_t c = 0; c < w; ++c) {
+              xw.at(b, r, c) = x.at(b, r, p + c);
+              mw.at(r, c) = mask.at(r, p + c);
+            }
+          }
+        }
+        tensor::SoftmaxLastDim(xw, &mw, &yw);
+        for (size_t b = 0; b < 2; ++b) {
+          for (size_t r = 0; r < 3; ++r) {
+            for (size_t c = 0; c < w; ++c) {
+              ASSERT_TRUE(BitEqual(yw.at(b, r, c), full.at(b, r, p + c)))
+                  << util::SimdLevelName(level) << " p=" << p << " w=" << w
+                  << " at (" << b << ", " << r << ", " << c << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Aligned tensor storage
 // ---------------------------------------------------------------------------
