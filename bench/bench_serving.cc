@@ -12,7 +12,8 @@
 // and rankings; the bench asserts that (including cached-warm,
 // batch-served, and sharded results) before any timing and exits 1 on the
 // first mismatch. A timed run also exits 1 when the context cache scores the
-// repeated-user workload slower than the uncached compiled program.
+// repeated-user workload slower than the uncached compiled program, and every
+// run exits 1 if traffic compiled a second body for any engine.
 //
 // --smoke runs the parity gates only, on tiny shapes, and exits — the mode
 // CI uses under ASan+UBSan. It gates the default SeqFM and two variants the
@@ -362,11 +363,11 @@ int Run(int argc, char** argv) {
     const size_t gate_k = std::min<size_t>(10, num_candidates);
     const auto want_top = compiled.TopK(ex, catalog, gate_k);
     for (size_t shards : shard_counts) {
-      serve::ShardedPredictor sharded_compiled(&compiled, {shards, 0});
+      serve::ShardedPredictor sharded_compiled(&compiled, {shards});
       mismatches += count_ranking_mismatches(
           sharded_compiled.TopK(ex, catalog, gate_k), want_top);
       // Sharded eager serving (no context): same ranking bits.
-      serve::ShardedPredictor sharded_generic(&generic, {shards, 0});
+      serve::ShardedPredictor sharded_generic(&generic, {shards});
       mismatches += count_ranking_mismatches(
           sharded_generic.TopK(ex, catalog, gate_k), want_top);
       serve::BatchServerOptions sharded_server_opts;
@@ -407,6 +408,23 @@ int Run(int argc, char** argv) {
       gated.push_back(&v);
     }
   }
+  // One compiled body serves every chunk size: traffic never compiles
+  // another, so each engine reports exactly one.
+  auto one_body_each = [&]() {
+    for (const ServingPaths* paths : gated) {
+      for (const serve::Predictor* p :
+           {paths->compiled.get(), paths->cached.get()}) {
+        const size_t counts =
+            p->engine() != nullptr ? p->engine()->stats().compiled_counts : 0;
+        if (counts != 1) {
+          std::fprintf(stderr, "%s: %zu compiled bodies (must be 1)\n",
+                       paths->label.c_str(), counts);
+          return false;
+        }
+      }
+    }
+    return true;
+  };
   for (size_t threads : smoke ? thread_counts
                               : std::vector<size_t>{thread_counts.front()}) {
     util::SetGlobalThreads(threads);
@@ -417,6 +435,7 @@ int Run(int argc, char** argv) {
       if (mismatches != 0) return 1;
     }
   }
+  if (!one_body_each()) return 1;
   if (smoke) {
     std::printf("smoke mode: parity gates passed, skipping timed runs.\n");
     if (!json_path.empty()) {
@@ -500,7 +519,7 @@ int Run(int argc, char** argv) {
                 "unsharded top-K (baseline)", unsharded.scores_per_sec,
                 unsharded.p50_ms, unsharded.p99_ms, 1.0);
     for (size_t shards : shard_counts) {
-      serve::ShardedPredictor sharded(&compiled, {shards, 0});
+      serve::ShardedPredictor sharded(&compiled, {shards});
       // Partition once, serve many — the intended deployment shape.
       const serve::ShardedCatalog sharded_catalog(catalog, shards);
       const PathStats s =
@@ -551,8 +570,8 @@ int Run(int argc, char** argv) {
     // assertion for allocation-free serving; a regression exits 1 like a
     // parity failure. `cached` serves through the compiled VM, so the audit
     // also pins the compiled path's zero-allocation claim — the explicit
-    // warm-up pass makes sure every lazy per-count body compile and
-    // execution-frame growth happened before the counters are read.
+    // warm-up pass makes sure every execution frame exists before the
+    // counters are read.
     const size_t warm_requests = std::min<size_t>(8, rb_requests);
     for (size_t r = 0; r < warm_requests; ++r) {
       (void)cached.ScoreCandidates(*workload.examples[r],
@@ -658,6 +677,7 @@ int Run(int argc, char** argv) {
            static_cast<double>(scratch.bytes_reserved));
   json.Add("scratch_high_water", static_cast<double>(scratch.high_water));
   if (!json_path.empty()) json.WriteTo(json_path);
+  if (!one_body_each()) return 1;
   std::printf("\nLatency units: /b = per batch-%zu forward, /rq = per "
               "catalog request; request-batched latencies are per request "
               "(batch-server latency includes queueing).\n", batch);

@@ -10,7 +10,6 @@
 #include "ir/verify.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
-#include "util/ordered_mutex.h"
 #include "util/thread_pool.h"
 
 namespace seqfm {
@@ -131,17 +130,22 @@ namespace {
 // ---------------------------------------------------------------------------
 // Execution frames: one per (thread, program). The block tensor backs every
 // planned local at its PlanArena offset; the index arrays are the synthesized
-// replacements for BatchBuilder's per-request vectors. Sized once, reused for
-// every request — the steady-state scoring loop allocates nothing. Each frame
-// watches its engine's liveness token, so frames of destroyed engines are
-// freed on the next cache miss of every thread that ran them.
+// replacements for BatchBuilder's per-request vectors. Sized once for the
+// program's row capacity, reused for every request — the steady-state scoring
+// loop allocates nothing. Each frame watches its engine's liveness token, so
+// frames of destroyed engines are freed on the next cache miss of every
+// thread that ran them.
 // ---------------------------------------------------------------------------
 
 struct Frame {
   std::weak_ptr<const void> owner;  // the engine's liveness token
   tensor::Tensor block;
   std::vector<tensor::Tensor> locals;  // WrapExternal views into block
+  /// (value id, per-row extent) of each planned row-scaled local.
+  std::vector<std::pair<uint32_t, size_t>> scaled;
+  size_t rows = 0;  // the row count the scaled locals are viewed at
   std::vector<int32_t> sids, dids, uids;
+  std::vector<const tensor::Tensor*> inputs;  // one instruction's operands
   bool needs_static = false;
   bool needs_dynamic = false;
   bool needs_unified = false;
@@ -168,15 +172,21 @@ Frame* FrameFor(const Program& prog,
   }
   auto frame = std::make_unique<Frame>();
   frame->owner = owner;
+  // Uninitialized: rows past the largest chunk a thread scores are never
+  // touched, so their pages cost no resident memory.
   frame->block =
       tensor::Tensor::Uninitialized({std::max<size_t>(prog.frame_floats, 1)});
   frame->locals.resize(prog.values.size());
-  for (size_t i = 0; i < prog.values.size(); ++i) {
+  for (uint32_t i = 0; i < prog.values.size(); ++i) {
     const Value& v = prog.values[i];
     if (v.kind != ValueKind::kLocal || v.offset == kNoOffset) continue;
     frame->locals[i] = tensor::Tensor::WrapExternal(
         v.shape, frame->block.data() + v.offset, v.size());
+    if (v.row_axis != kNoRowAxis) {
+      frame->scaled.emplace_back(i, v.shape[v.row_axis] / prog.count);
+    }
   }
+  frame->rows = prog.count;
   for (const Instr& ins : prog.instrs) {
     switch (ins.binding.source) {
       case IndexSource::kStatic: frame->needs_static = true; break;
@@ -194,29 +204,30 @@ Frame* FrameFor(const Program& prog,
   return raw;
 }
 
-/// Synthesizes the BatchBuilder index layout for a serving chunk straight
-/// into the frame arrays: every row shares (user, history) and differs only
-/// in the candidate column. \p cands is one object id per row (null for
-/// prologues, whose gathers provably never read the candidate column).
-void FillIndexArrays(const Program& prog, Frame* f, int32_t user_index,
-                     const int32_t* history, const int32_t* cands,
-                     int32_t cand_base, int32_t unified_dyn_base) {
-  const size_t count = prog.count;
+/// Synthesizes the BatchBuilder index layout for \p rows serving rows
+/// straight into the frame arrays: every row shares (user, history) and
+/// differs only in the candidate column. \p cands is one object id per row
+/// (null for prologues, whose gathers provably never read the candidate
+/// column).
+void FillIndexArrays(const Program& prog, Frame* f, size_t rows,
+                     int32_t user_index, const int32_t* history,
+                     const int32_t* cands, int32_t cand_base,
+                     int32_t unified_dyn_base) {
   if (f->needs_static) {
-    for (size_t b = 0; b < count; ++b) {
+    for (size_t b = 0; b < rows; ++b) {
       int32_t* row = f->sids.data() + b * prog.n_static;
       row[0] = user_index;
       row[1] = cand_base + (cands != nullptr ? cands[b] : 0);
     }
   }
   if (f->needs_dynamic) {
-    for (size_t b = 0; b < count; ++b) {
+    for (size_t b = 0; b < rows; ++b) {
       std::memcpy(f->dids.data() + b * prog.n_seq, history,
                   prog.n_seq * sizeof(int32_t));
     }
   }
   if (f->needs_unified) {
-    for (size_t b = 0; b < count; ++b) {
+    for (size_t b = 0; b < rows; ++b) {
       int32_t* row = f->uids.data() + b * prog.n_unified;
       row[0] = user_index;
       row[1] = cand_base + (cands != nullptr ? cands[b] : 0);
@@ -228,13 +239,22 @@ void FillIndexArrays(const Program& prog, Frame* f, int32_t user_index,
   }
 }
 
-/// Runs one program against a frame. \p slots backs kSlot reads (bodies);
+/// Runs one program over \p rows rows (at most prog.count) against a frame:
+/// the row-scaled locals are re-viewed when the count changes, so every
+/// instruction covers rows [0, rows). \p slots backs kSlot reads (bodies);
 /// \p cands is the per-row candidate array (null for prologues).
 void RunProgram(const Program& prog, Frame* f,
                 const std::vector<tensor::Tensor>* slots, int32_t user_index,
-                const int32_t* history, const int32_t* cands,
+                const int32_t* history, const int32_t* cands, size_t rows,
                 int32_t cand_base, int32_t unified_dyn_base) {
-  FillIndexArrays(prog, f, user_index, history, cands, cand_base,
+  SEQFM_CHECK(rows >= 1 && rows <= prog.count);
+  if (f->rows != rows) {
+    for (const auto& [id, unit] : f->scaled) {
+      f->locals[id].ResizeWrappedAxis(prog.values[id].row_axis, unit * rows);
+    }
+    f->rows = rows;
+  }
+  FillIndexArrays(prog, f, rows, user_index, history, cands, cand_base,
                   unified_dyn_base);
 
   auto resolve = [&](uint32_t id) -> const tensor::Tensor* {
@@ -261,7 +281,7 @@ void RunProgram(const Program& prog, Frame* f,
     return static_cast<const int32_t*>(nullptr);
   };
 
-  std::vector<const tensor::Tensor*> in;
+  std::vector<const tensor::Tensor*>& in = f->inputs;
   for (const Instr& ins : prog.instrs) {
     tensor::Tensor& out = f->locals[ins.out];
     switch (ins.kind) {
@@ -358,14 +378,21 @@ bool VerifyStage(const Program& p, const char* stage, const char* half,
   return false;
 }
 
+/// True when the frame's first \p want.size() index entries are \p want.
+bool SamePrefix(const std::vector<int32_t>& frame,
+                const std::vector<int32_t>& want) {
+  return frame.size() >= want.size() &&
+         std::equal(want.begin(), want.end(), frame.begin());
+}
+
 std::string CheckArrays(const Frame& f, const data::Batch& batch) {
-  if (f.needs_static && f.sids != batch.static_ids) {
+  if (f.needs_static && !SamePrefix(f.sids, batch.static_ids)) {
     return "synthesized static ids diverge from BatchBuilder layout";
   }
-  if (f.needs_dynamic && f.dids != batch.dynamic_ids) {
+  if (f.needs_dynamic && !SamePrefix(f.dids, batch.dynamic_ids)) {
     return "synthesized dynamic ids diverge from BatchBuilder layout";
   }
-  if (f.needs_unified && f.uids != batch.unified_ids) {
+  if (f.needs_unified && !SamePrefix(f.uids, batch.unified_ids)) {
     return "synthesized unified ids diverge from BatchBuilder layout";
   }
   return std::string();
@@ -381,7 +408,7 @@ size_t CachedFrameCount() { return ThreadFrames().size(); }
 
 std::unique_ptr<Engine> Engine::Compile(core::Model* model,
                                         const data::BatchBuilder* builder,
-                                        size_t num_objects,
+                                        size_t num_objects, size_t capacity,
                                         std::string* error) {
   SEQFM_CHECK(model != nullptr && builder != nullptr && error != nullptr);
   if (num_objects < 2) {
@@ -390,57 +417,58 @@ std::unique_ptr<Engine> Engine::Compile(core::Model* model,
     return nullptr;
   }
   std::unique_ptr<Engine> e(new Engine());
-  e->model_ = model;
-  e->builder_ = builder;
-  e->num_objects_ = num_objects;
-  // The probe history gather bindings are fitted against: full length (a
-  // padded -1 column would fit ANY padding source column), nonzero ids (the
-  // probe user is 0, and a history value equal to the user value makes the
-  // user column ambiguous), and mutually distinct whenever the catalog has
-  // enough objects, so every position is identifiable by value.
-  {
-    const size_t n = builder->max_seq_len();
-    const size_t span = num_objects - 1;  // ids drawn from [1, num_objects)
-    e->probe_history_.resize(n);
-    for (size_t j = 0; j < n; ++j) {
-      e->probe_history_[j] = static_cast<int32_t>(1 + (j % span));
-    }
-  }
   const data::FeatureSpace& space = builder->space();
   e->cand_base_ = space.CandidateIndex(0);
   e->unified_dyn_base_ = static_cast<int32_t>(space.static_dim());
   e->n_seq_ = builder->max_seq_len();
   e->uid_ = NextProgramUid();
-  if (!e->CompileCount(2, /*adopt_prologue=*/true, error)) return nullptr;
+  if (!e->Build(model, *builder, num_objects, std::max<size_t>(capacity, 2),
+                error)) {
+    return nullptr;
+  }
   return e;
 }
 
-bool Engine::CompileCount(size_t count, bool adopt_prologue,
-                          std::string* error) const {
-  SEQFM_CHECK_GE(count, 2u);
+bool Engine::Build(core::Model* model, const data::BatchBuilder& builder,
+                   size_t num_objects, size_t capacity, std::string* error) {
+  constexpr size_t kCount = 2;  // the body is factored at two candidates
+  // The probe request gather bindings are fitted against: user 0 and a
+  // history that is full length (a padded -1 column would fit ANY padding
+  // source column), nonzero (a history value equal to the user value makes
+  // the user column ambiguous), and mutually distinct whenever the catalog
+  // has enough objects, so every position is identifiable by value.
+  const size_t span = num_objects - 1;  // ids drawn from [1, num_objects)
   data::SequenceExample probe;
   probe.user = 0;
   probe.target = 0;
-  probe.history = probe_history_;
-  std::vector<const data::SequenceExample*> ex1(1, &probe);
-  std::vector<const data::SequenceExample*> exC(count, &probe);
-  std::vector<int32_t> ovr1 = {0};
-  std::vector<int32_t> ovrC(count);
-  for (size_t i = 0; i < count; ++i) {
-    ovrC[i] = static_cast<int32_t>(i % num_objects_);
+  probe.history.resize(n_seq_);
+  for (size_t j = 0; j < n_seq_; ++j) {
+    probe.history[j] = static_cast<int32_t>(1 + (j % span));
   }
-  const data::Batch batch1 = builder_->Build(ex1, &ovr1);
-  const data::Batch batchC = builder_->Build(exC, &ovrC);
+  // A serving batch of `rows` copies of `ex` scoring \p cands: candidates
+  // (i + shift) mod the catalog size.
+  auto build_batch = [&](const data::SequenceExample& ex, size_t rows,
+                         size_t shift, std::vector<int32_t>* cands) {
+    std::vector<const data::SequenceExample*> exs(rows, &ex);
+    cands->resize(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      (*cands)[i] = static_cast<int32_t>((i + shift) % num_objects);
+    }
+    return builder.Build(exs, cands);
+  };
+  std::vector<int32_t> cands1, candsC;
+  const data::Batch batch1 = build_batch(probe, 1, 0, &cands1);
+  const data::Batch batchC = build_batch(probe, kCount, 0, &candsC);
 
   // Both counts are traced fresh on every compile (never against stored
   // tensors): parameters live in the model's nodes, so traces made before a
   // checkpoint reload would verify against stale values.
-  TraceResult t1 = Trace(model_, batch1);
+  TraceResult t1 = Trace(model, batch1);
   if (!t1.ok()) {
     *error = t1.error;
     return false;
   }
-  TraceResult tC = Trace(model_, batchC);
+  TraceResult tC = Trace(model, batchC);
   if (!tC.ok()) {
     *error = tC.error;
     return false;
@@ -458,7 +486,7 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
 
   // Row-block the cross-view-style attention sites so that Factor can hoist
   // their candidate-invariant blocks; programs without one are unchanged.
-  // The cross-probe check below compares a fresh trace against the traced
+  // The replay checks below compare fresh traces against the traced
   // skeleton, so keep it.
   const std::vector<Instr> traced_instrs = tC.program.instrs;
   const size_t traced_values = tC.program.values.size();
@@ -490,174 +518,130 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
       return false;
     }
   }
+  // The one body serves every chunk: size it for the largest.
+  ResizeRows(&f.body, capacity);
+  if (!VerifyStage(f.body, "resize_rows", "body", body_opts, error)) {
+    return false;
+  }
 
-  EngineStats delta;
   for (Program* p : {&f.prologue, &f.body}) {
     const bool is_body = p == &f.body;
     const char* half = is_body ? "body" : "prologue";
     VerifyOptions opts = is_body ? body_opts : prologue_opts;
-    delta.folded += FoldConstants(p);
+    stats_.folded += FoldConstants(p);
     if (!VerifyStage(*p, "fold_constants", half, opts, error)) return false;
-    delta.dce_removed += DeadCodeElim(p);
+    stats_.dce_removed += DeadCodeElim(p);
     if (!VerifyStage(*p, "dead_code_elim", half, opts, error)) return false;
-    delta.fused += FuseElementwise(p);
+    stats_.fused += FuseElementwise(p);
     if (!VerifyStage(*p, "fuse_elementwise", half, opts, error)) return false;
     PlanArena(p);
     opts.check_arena = true;
     if (!VerifyStage(*p, "plan_arena", half, opts, error)) return false;
   }
 
-  if (!adopt_prologue) {
-    // A later per-count compile must reproduce the factoring the engine was
-    // built with: same slots, same prologue skeleton. Anything else means
-    // cached contexts would feed the wrong tensors into this body.
-    if (f.prologue.slot_outputs != prologue_.slot_outputs ||
-        f.prologue.instrs.size() != prologue_.instrs.size()) {
-      *error = "compile: factoring diverged across candidate counts";
-      return false;
-    }
-    for (size_t i = 0; i < f.prologue.instrs.size(); ++i) {
-      if (f.prologue.instrs[i].kind != prologue_.instrs[i].kind ||
-          f.prologue.instrs[i].out != prologue_.instrs[i].out) {
-        *error = "compile: factoring diverged across candidate counts";
-        return false;
-      }
-    }
-  }
-
   // Self-check, prologue half: replay it for the probe request and demand
   // bit-identical slot tensors and BatchBuilder-identical index arrays.
-  const int32_t probe_user = batch1.static_ids[0];
-  const int32_t* probe_hist = batch1.dynamic_ids.data();
   Frame* pf = FrameFor(f.prologue, liveness_);
-  RunProgram(f.prologue, pf, nullptr, probe_user, probe_hist, nullptr,
-             cand_base_, unified_dyn_base_);
+  Frame* bf = FrameFor(f.body, liveness_);
+  std::vector<tensor::Tensor> slots;
+  auto run_prologue = [&](const data::Batch& batch) {
+    RunProgram(f.prologue, pf, nullptr, batch.static_ids[0],
+               batch.dynamic_ids.data(), nullptr, 1, cand_base_,
+               unified_dyn_base_);
+    slots.clear();
+    for (uint32_t id : f.prologue.slot_outputs) {
+      slots.push_back(pf->locals[id]);  // deep copy
+    }
+  };
+  run_prologue(batch1);
   std::string arrays = CheckArrays(*pf, batch1);
   if (!arrays.empty()) {
     *error = "compile (prologue): " + arrays;
     return false;
   }
-  std::vector<tensor::Tensor> slots;
-  slots.reserve(f.prologue.slot_outputs.size());
-  for (uint32_t id : f.prologue.slot_outputs) {
-    if (!BitEqual(pf->locals[id], t1.value_nodes[id]->value)) {
+  for (size_t s = 0; s < slots.size(); ++s) {
+    const uint32_t id = f.prologue.slot_outputs[s];
+    if (!BitEqual(slots[s], t1.value_nodes[id]->value)) {
       *error = "compile: prologue slot diverges from traced forward";
       return false;
     }
-    slots.push_back(pf->locals[id]);  // deep copy
   }
 
   // Self-check, body half: replay it over the probe candidates against the
   // freshly computed slots and demand the traced scores, bit-for-bit.
-  Frame* bf = FrameFor(f.body, liveness_);
-  RunProgram(f.body, bf, &slots, probe_user, probe_hist, ovrC.data(),
-             cand_base_, unified_dyn_base_);
-  arrays = CheckArrays(*bf, batchC);
-  if (!arrays.empty()) {
-    *error = "compile (body): " + arrays;
-    return false;
-  }
-  if (!BitEqual(bf->locals[f.body.output],
-                tC.value_nodes[f.body.output]->value)) {
-    *error = "compile: body output diverges from traced forward";
-    return false;
-  }
-
-  // Cross-probe verification: the gather bindings, captured constants, and
-  // the invariant/variant split were all inferred from probe A. Replay the
-  // compiled halves end-to-end for a SECOND request — different user,
-  // different history, different candidates — and demand the traced scores
-  // bit-for-bit. Any inference that held only coincidentally at probe A dies
-  // here, so the Predictor falls back to the eager path instead of silently
-  // serving wrong bits.
-  {
-    data::SequenceExample probe_b;
-    probe_b.user = builder_->space().num_users() > 1 ? 1 : 0;
-    probe_b.target = 0;
-    const size_t span = num_objects_ - 1;
-    probe_b.history.resize(n_seq_);
-    for (size_t j = 0; j < n_seq_; ++j) {
-      probe_b.history[j] = static_cast<int32_t>(1 + ((5 * j + 3) % span));
-    }
-    std::vector<const data::SequenceExample*> exB(count, &probe_b);
-    std::vector<int32_t> ovrB(count);
-    for (size_t i = 0; i < count; ++i) {
-      ovrB[i] = static_cast<int32_t>((i + 1) % num_objects_);
-    }
-    const data::Batch batchB = builder_->Build(exB, &ovrB);
-    TraceResult tB = Trace(model_, batchB);
-    if (!tB.ok()) {
-      *error = "compile (cross-probe): " + tB.error;
-      return false;
-    }
-    if (tB.program.instrs.size() != traced_instrs.size() ||
-        tB.program.values.size() != traced_values) {
-      *error = "compile: program structure varies across requests";
-      return false;
-    }
-    for (size_t i = 0; i < tB.program.instrs.size(); ++i) {
-      if (tB.program.instrs[i].kind != traced_instrs[i].kind ||
-          tB.program.instrs[i].out != traced_instrs[i].out) {
-        *error = "compile: program structure varies across requests";
-        return false;
-      }
-    }
-    const int32_t user_b = batchB.static_ids[0];
-    const int32_t* hist_b = batchB.dynamic_ids.data();
-    RunProgram(f.prologue, pf, nullptr, user_b, hist_b, nullptr, cand_base_,
-               unified_dyn_base_);
-    std::vector<tensor::Tensor> slots_b;
-    slots_b.reserve(f.prologue.slot_outputs.size());
-    for (uint32_t id : f.prologue.slot_outputs) {
-      slots_b.push_back(pf->locals[id]);
-    }
-    RunProgram(f.body, bf, &slots_b, user_b, hist_b, ovrB.data(), cand_base_,
-               unified_dyn_base_);
-    arrays = CheckArrays(*bf, batchB);
-    if (!arrays.empty()) {
-      *error = "compile (cross-probe body): " + arrays;
+  auto run_body = [&](const data::Batch& batch,
+                      const std::vector<int32_t>& cands,
+                      const TraceResult& traced, const char* what) {
+    RunProgram(f.body, bf, &slots, batch.static_ids[0],
+               batch.dynamic_ids.data(), cands.data(), cands.size(),
+               cand_base_, unified_dyn_base_);
+    const std::string bad = CheckArrays(*bf, batch);
+    if (!bad.empty()) {
+      *error = std::string("compile (") + what + "): " + bad;
       return false;
     }
     if (!BitEqual(bf->locals[f.body.output],
-                  tB.value_nodes[f.body.output]->value)) {
-      *error = "compile: compiled program does not generalize across "
-               "requests (cross-probe output mismatch)";
+                  traced.value_nodes[f.body.output]->value)) {
+      *error = std::string("compile (") + what +
+               "): body output diverges from traced forward";
       return false;
     }
+    return true;
+  };
+  if (!run_body(batchC, candsC, tC, "body")) return false;
+
+  // Replays for requests the factoring never saw. The gather bindings,
+  // captured constants, and the invariant/variant split were all inferred
+  // from probe A at two candidates, so replay the compiled halves end to end
+  // for a SECOND request — different user, different history, different
+  // candidates — and for probe A at another row count, demanding a fresh
+  // trace's scores bit-for-bit. Any inference that held only coincidentally,
+  // or a value that does not really scale with the row count, dies here, so
+  // the Predictor falls back to the eager path instead of silently serving
+  // wrong bits.
+  auto replay = [&](const data::SequenceExample& ex, size_t rows,
+                    size_t shift, const char* what) {
+    std::vector<int32_t> cands;
+    const data::Batch batch = build_batch(ex, rows, shift, &cands);
+    const TraceResult t = Trace(model, batch);
+    if (!t.ok()) {
+      *error = std::string("compile (") + what + "): " + t.error;
+      return false;
+    }
+    bool same = t.program.instrs.size() == traced_instrs.size() &&
+                t.program.values.size() == traced_values;
+    for (size_t i = 0; same && i < traced_instrs.size(); ++i) {
+      same = t.program.instrs[i].kind == traced_instrs[i].kind &&
+             t.program.instrs[i].out == traced_instrs[i].out;
+    }
+    if (!same) {
+      *error = std::string("compile (") + what +
+               "): program structure varies across requests";
+      return false;
+    }
+    run_prologue(batch);
+    return run_body(batch, cands, t, what);
+  };
+  data::SequenceExample probe_b;
+  probe_b.user = builder.space().num_users() > 1 ? 1 : 0;
+  probe_b.target = 0;
+  probe_b.history.resize(n_seq_);
+  for (size_t j = 0; j < n_seq_; ++j) {
+    probe_b.history[j] = static_cast<int32_t>(1 + ((5 * j + 3) % span));
+  }
+  if (!replay(probe_b, kCount, 1, "cross-probe") ||
+      !replay(probe, capacity >= 3 ? 3 : 1, 0, "row count")) {
+    return false;
   }
 
-  // Publication is the only part of a compile that needs the engine lock.
-  // Everything above (tracing, passes, self-checks) runs lock-free: tracing
-  // takes the thread pool's region lock via ParallelFor, and ScoreRange is
-  // itself called from inside pool regions, so holding mu_ across the heavy
-  // work would invert the pool/engine lock order (see ordered_mutex.h).
-  bool kept_body = false;
-  {
-    util::OrderedMutexLock lock(mu_);
-    if (adopt_prologue) {
-      stats_.prologue_instrs = f.prologue.instrs.size();
-      stats_.body_instrs = f.body.instrs.size();
-      stats_.slots = f.prologue.slot_outputs.size();
-      stats_.prologue_frame_floats = f.prologue.frame_floats;
-      stats_.body_frame_floats = f.body.frame_floats;
-      prologue_ = std::move(f.prologue);
-    }
-    if (bodies_.find(count) == bodies_.end()) {
-      stats_.folded += delta.folded;
-      stats_.dce_removed += delta.dce_removed;
-      stats_.fused += delta.fused;
-      stats_.compiled_counts += 1;
-      bodies_[count] = std::make_unique<Program>(std::move(f.body));
-      kept_body = true;
-    }
-    // else: a concurrent ScoreRange compiled this count first. Both compiles
-    // trace the same deterministic model, so the programs are equivalent;
-    // keeping the first insertion keeps frame uids stable.
-  }
-  // The frames of the programs this compile discards (a later count's copy
-  // of the prologue, a body that lost the race) only served the self-checks.
-  if (!adopt_prologue) ThreadFrames().erase(f.prologue.uid);
-  if (!kept_body) ThreadFrames().erase(f.body.uid);
+  stats_.prologue_instrs = f.prologue.instrs.size();
+  stats_.body_instrs = f.body.instrs.size();
+  stats_.slots = f.prologue.slot_outputs.size();
+  stats_.prologue_frame_floats = f.prologue.frame_floats;
+  stats_.body_frame_floats = f.body.frame_floats;
+  stats_.compiled_counts = 1;
+  prologue_ = std::move(f.prologue);
+  body_ = std::move(f.body);
   return true;
 }
 
@@ -673,7 +657,7 @@ void Engine::MakeContext(int32_t user_index,
   SEQFM_CHECK_EQ(dynamic_ids.size(), n_seq_);
   Frame* pf = FrameFor(prologue_, liveness_);
   RunProgram(prologue_, pf, nullptr, user_index, dynamic_ids.data(), nullptr,
-             cand_base_, unified_dyn_base_);
+             1, cand_base_, unified_dyn_base_);
   ctx->slots.clear();
   ctx->slots.reserve(prologue_.slot_outputs.size());
   for (uint32_t id : prologue_.slot_outputs) {
@@ -684,119 +668,69 @@ void Engine::MakeContext(int32_t user_index,
   ctx->dynamic_ids = dynamic_ids;
 }
 
-const Program* Engine::BodyFor(size_t count, std::string* error) const {
-  // Bodies are specialized to >= 2 candidates (compile needs two distinct
-  // probes); ScoreRange runs a single-candidate chunk through the count-2
-  // body with the candidate doubled.
-  const size_t body_count = std::max<size_t>(count, 2);
-  // Look up the body under the lock, but never compile under it: a wave
-  // chunk task calling in here already holds the pool's region lock, and a
-  // fresh compile takes that same lock through tracing's ParallelFor — the
-  // old hold-mu_-across-compile shape deadlocked against exactly that.
-  // Losing a duplicate-compile race costs one discarded program, not bits.
-  {
-    util::OrderedMutexLock lock(mu_);
-    auto it = bodies_.find(body_count);
-    if (it != bodies_.end()) return it->second.get();
-  }
-  if (!CompileCount(body_count, /*adopt_prologue=*/false, error)) {
-    return nullptr;
-  }
-  util::OrderedMutexLock lock(mu_);
-  auto it = bodies_.find(body_count);
-  SEQFM_CHECK(it != bodies_.end());
-  return it->second.get();  // unique_ptr target: stable after unlock
-}
-
-bool Engine::PrepareBody(size_t count, std::string* error) const {
-  return count == 0 || BodyFor(count, error) != nullptr;
-}
-
 bool Engine::ScoreRange(const SharedContext& ctx,
                         const std::vector<int32_t>& candidates, size_t begin,
                         size_t end, float* out, std::string* error) const {
-  const size_t count = end - begin;
-  if (count == 0) return true;
+  const size_t rows = end - begin;
+  if (rows == 0) return true;
   if (ctx.engine_uid != uid_) {
     *error = "score: context was built by a different engine";
     return false;
   }
-  // Rows are independent in every op, so row 0 of the count-2 body matches
-  // the single-row program's bits exactly.
-  int32_t padded[2];
-  const int32_t* cands = candidates.data() + begin;
-  if (count == 1) {
-    padded[0] = padded[1] = candidates[begin];
-    cands = padded;
+  if (rows > capacity()) {
+    *error = "score: " + std::to_string(rows) +
+             " candidates exceed the body's capacity of " +
+             std::to_string(capacity()) + " rows";
+    return false;
   }
-  const Program* body = BodyFor(count, error);
-  if (body == nullptr) return false;
-
-  Frame* bf = FrameFor(*body, liveness_);
-  RunProgram(*body, bf, &ctx.slots, ctx.user_index, ctx.dynamic_ids.data(),
-             cands, cand_base_, unified_dyn_base_);
-  std::memcpy(out, bf->locals[body->output].data(), count * sizeof(float));
+  Frame* bf = FrameFor(body_, liveness_);
+  RunProgram(body_, bf, &ctx.slots, ctx.user_index, ctx.dynamic_ids.data(),
+             candidates.data() + begin, rows, cand_base_, unified_dyn_base_);
+  std::memcpy(out, bf->locals[body_.output].data(), rows * sizeof(float));
   return true;
 }
 
-EngineStats Engine::stats() const {
-  util::OrderedMutexLock lock(mu_);
-  return stats_;
-}
-
 Status Engine::ReverifySlotAbi() const {
-  util::OrderedMutexLock lock(mu_);
   const size_t slots = prologue_.slot_outputs.size();
-  for (const auto& [count, body] : bodies_) {
-    for (size_t v = 0; v < body->values.size(); ++v) {
-      const Value& val = body->values[v];
-      if (val.kind != ValueKind::kSlot) continue;
-      if (val.index >= slots) {
-        return Status::Internal(
-            "slot ABI: body for count " + std::to_string(count) + " value " +
-            std::to_string(v) + " reads slot " + std::to_string(val.index) +
-            " but the prologue produces only " + std::to_string(slots) +
-            " slots");
-      }
-      const Value& produced =
-          prologue_.values[prologue_.slot_outputs[val.index]];
-      if (val.shape != produced.shape) {
-        auto shape_str = [](const std::vector<size_t>& s) {
-          std::string r = "[";
-          for (size_t i = 0; i < s.size(); ++i) {
-            if (i) r += ", ";
-            r += std::to_string(s[i]);
-          }
-          return r + "]";
-        };
-        return Status::Internal(
-            "slot ABI: body for count " + std::to_string(count) + " value " +
-            std::to_string(v) + " expects slot " + std::to_string(val.index) +
-            " with shape " + shape_str(val.shape) +
-            " but the prologue produces " + shape_str(produced.shape));
-      }
+  for (size_t v = 0; v < body_.values.size(); ++v) {
+    const Value& val = body_.values[v];
+    if (val.kind != ValueKind::kSlot) continue;
+    if (val.index >= slots) {
+      return Status::Internal(
+          "slot ABI: body value " + std::to_string(v) + " reads slot " +
+          std::to_string(val.index) + " but the prologue produces only " +
+          std::to_string(slots) + " slots");
+    }
+    const Value& produced = prologue_.values[prologue_.slot_outputs[val.index]];
+    if (val.shape != produced.shape) {
+      auto shape_str = [](const std::vector<size_t>& s) {
+        std::string r = "[";
+        for (size_t i = 0; i < s.size(); ++i) {
+          if (i) r += ", ";
+          r += std::to_string(s[i]);
+        }
+        return r + "]";
+      };
+      return Status::Internal(
+          "slot ABI: body value " + std::to_string(v) + " expects slot " +
+          std::to_string(val.index) + " with shape " + shape_str(val.shape) +
+          " but the prologue produces " + shape_str(produced.shape));
     }
   }
   return Status::OK();
 }
 
 void Engine::CorruptSlotWiringForTest(bool corrupt_shape) {
-  util::OrderedMutexLock lock(mu_);
-  for (auto& [count, body] : bodies_) {
-    (void)count;
-    for (Value& val : body->values) {
-      if (val.kind != ValueKind::kSlot) continue;
-      if (corrupt_shape) {
-        val.shape.push_back(3);
-      } else {
-        val.index =
-            static_cast<uint32_t>(prologue_.slot_outputs.size()) + 7;
-      }
-      return;
+  for (Value& val : body_.values) {
+    if (val.kind != ValueKind::kSlot) continue;
+    if (corrupt_shape) {
+      val.shape.push_back(3);
+    } else {
+      val.index = static_cast<uint32_t>(prologue_.slot_outputs.size()) + 7;
     }
+    return;
   }
-  SEQFM_CHECK(false) << "CorruptSlotWiringForTest: no compiled body reads "
-                        "a slot";
+  SEQFM_CHECK(false) << "CorruptSlotWiringForTest: the body reads no slot";
 }
 
 }  // namespace ir

@@ -5,16 +5,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/model_interface.h"
 #include "data/dataset.h"
 #include "ir/program.h"
 #include "tensor/tensor.h"
-#include "util/ordered_mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace seqfm {
 namespace ir {
@@ -32,7 +29,7 @@ struct SharedContext {
   std::vector<int32_t> dynamic_ids;  // BatchBuilder layout, length max_seq_len
   /// The prologue's slot tensors, in slot order.
   std::vector<tensor::Tensor> slots;
-  /// Uid of the engine whose body programs may consume the slots.
+  /// Uid of the engine whose body may consume the slots.
   uint64_t engine_uid = 0;
 
   /// Resident bytes of the slot tensors + id buffer — the unit of
@@ -46,8 +43,9 @@ struct SharedContext {
 /// two traces of one model. serve::Predictor drives it: MakeContext runs the
 /// prologue once per (user, history) and parks the candidate-invariant slot
 /// tensors in the SharedContext (cached by serve::ContextCache); ScoreRange
-/// replays the per-candidate body over a catalog chunk. Execution state lives
-/// in thread-local frames sized by PlanArena, so steady-state scoring
+/// replays the per-candidate body over a catalog chunk of any size up to
+/// the body's capacity, passing the row count at run time. Execution state
+/// lives in thread-local frames sized by PlanArena, so steady-state scoring
 /// performs zero heap allocations and is trivially thread-safe.
 
 /// Evaluates one pure instruction (no request-dependent inputs) by calling
@@ -60,39 +58,43 @@ struct SharedContext {
 bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
               tensor::Tensor* out);
 
-/// Number of execution frames cached on the calling thread. A frame lives
-/// until its engine is destroyed and this thread next misses its cache.
+/// Number of execution frames cached on the calling thread: one per program
+/// (an engine's prologue and body) the thread ran. A frame lives until its
+/// engine is destroyed and this thread next misses its cache.
 size_t CachedFrameCount();
 
 /// Compile-time facts about an engine, surfaced in bench_serving --json.
 struct EngineStats {
   size_t prologue_instrs = 0;
-  size_t body_instrs = 0;       // for the initial count-2 body
+  size_t body_instrs = 0;
   size_t slots = 0;             // candidate-invariant values hoisted
   size_t prologue_frame_floats = 0;
-  size_t body_frame_floats = 0;  // for the initial count-2 body
+  size_t body_frame_floats = 0;  // planned for the body's capacity in rows
   size_t folded = 0;             // constant-folded instructions (both halves)
   size_t dce_removed = 0;        // dead instructions removed (both halves)
   size_t fused = 0;              // elementwise links aliased in place
-  size_t compiled_counts = 0;    // distinct candidate counts compiled so far
+  size_t compiled_counts = 0;    // bodies compiled: always 1
 };
 
-/// A compiled serving program for one model. Thread-safe after construction:
-/// ScoreRange may be called concurrently from shard threads; per-count body
-/// compilation is serialized internally.
+/// A compiled serving program for one model. Immutable after Compile, so
+/// ScoreRange may be called concurrently from shard threads without a lock.
 class Engine {
  public:
   /// Traces \p model at candidate counts 1 and 2, factors the program into a
   /// candidate-invariant prologue and a per-candidate body, runs the pass
-  /// pipeline, and self-checks both halves bit-for-bit against the traced
-  /// tensors. Returns null (with \p error set) when the model is not
-  /// compilable — unknown op, unannotated constant, unbindable gather — in
-  /// which case the caller keeps the eager path. Requires at least two
-  /// catalog objects (two distinct probe candidates are what disambiguate
-  /// the candidate column in gather bindings).
+  /// pipeline, plans the body's frame for max(2, \p capacity) rows, and
+  /// self-checks both halves bit-for-bit against traced tensors: the
+  /// prologue's slots, the body at 2 rows for two requests, and the body at
+  /// a third row count (3, or 1 when the capacity is 2). Returns null (with
+  /// \p error set) when the model is not compilable — unknown op,
+  /// unannotated constant, unbindable gather, a value that does not scale
+  /// with the candidate count along one axis — in which case the caller
+  /// keeps the eager path. Requires at least two catalog objects (two
+  /// distinct probe candidates are what disambiguate the candidate column
+  /// in gather bindings).
   static std::unique_ptr<Engine> Compile(core::Model* model,
                                          const data::BatchBuilder* builder,
-                                         size_t num_objects,
+                                         size_t num_objects, size_t capacity,
                                          std::string* error);
 
   /// Runs the prologue for one (user, history) request and fills
@@ -102,71 +104,50 @@ class Engine {
   void MakeContext(int32_t user_index, const std::vector<int32_t>& dynamic_ids,
                    SharedContext* ctx) const;
 
-  /// Scores candidates[begin..end) against \p ctx into out[0..end-begin).
-  /// Lazily compiles (and self-checks) a body for this chunk's candidate
-  /// count on first use. Returns false with \p error set if that compile
-  /// fails — the caller falls back to the eager path for the chunk.
+  /// Scores candidates[begin..end) against \p ctx into out[0..end-begin):
+  /// the body runs once over end - begin rows. Returns false with \p error
+  /// set, scoring nothing, when the range exceeds capacity() or \p ctx was
+  /// built by another engine — the caller scores that range eagerly.
   bool ScoreRange(const SharedContext& ctx,
                   const std::vector<int32_t>& candidates, size_t begin,
                   size_t end, float* out, std::string* error) const;
 
-  /// Compiles the body for \p count candidates now, on the calling thread,
-  /// unless it exists; false (with \p error set) if that compile fails.
-  /// ScoreRange would compile it on whichever thread first scores a chunk
-  /// of that size, so a caller about to fan chunks of new sizes out over
-  /// the pool prepares them first: each compile then runs once, here,
-  /// instead of racing on several workers at once.
-  bool PrepareBody(size_t count, std::string* error) const
-      SEQFM_EXCLUDES(mu_);
+  /// Most candidates one ScoreRange call scores: the rows the body's frame
+  /// is planned for.
+  size_t capacity() const { return body_.count; }
 
   /// Number of slot tensors a context carries.
   size_t num_slots() const { return prologue_.slot_outputs.size(); }
 
-  /// Re-checks the slot ABI between the prologue and every compiled body:
-  /// each body value of kind kSlot must name a slot the prologue actually
-  /// produces, with the exact shape the prologue parks in the context. The
-  /// initial Compile establishes this by construction; serving re-verifies
-  /// it at every checkpoint reload (Predictor::ReloadCheckpoint) because a
-  /// body scoring through a stale or miswired slot reads the wrong floats
-  /// — garbage rankings, no crash. Returns Internal naming the first
-  /// mismatched (body count, value, slot).
-  Status ReverifySlotAbi() const SEQFM_EXCLUDES(mu_);
+  /// Re-checks the slot ABI between the prologue and the body: each body
+  /// value of kind kSlot must name a slot the prologue actually produces,
+  /// with the exact shape the prologue parks in the context. Compile
+  /// establishes this by construction; serving re-verifies it at every
+  /// checkpoint reload (Predictor::ReloadCheckpoint) because a body scoring
+  /// through a stale or miswired slot reads the wrong floats — garbage
+  /// rankings, no crash. Returns Internal naming the first mismatched
+  /// (value, slot).
+  Status ReverifySlotAbi() const;
 
-  /// Test hook: miswires the first kSlot value of some compiled body —
-  /// \p corrupt_shape distorts its shape, otherwise its slot index is
-  /// pushed out of range. Exists so reload tests can prove ReverifySlotAbi
-  /// catches both failure classes; never called outside tests.
-  void CorruptSlotWiringForTest(bool corrupt_shape) SEQFM_EXCLUDES(mu_);
+  /// Test hook: miswires the body's first kSlot value — \p corrupt_shape
+  /// distorts its shape, otherwise its slot index is pushed out of range.
+  /// Exists so reload tests can prove ReverifySlotAbi catches both failure
+  /// classes; never called outside tests.
+  void CorruptSlotWiringForTest(bool corrupt_shape);
 
   uint64_t uid() const { return uid_; }
 
-  EngineStats stats() const;
+  EngineStats stats() const { return stats_; }
 
  private:
   Engine() = default;
 
-  /// Traces fresh at counts 1 and \p count, factors, optimizes, verifies,
-  /// and self-checks. Fresh traces (not stored ones) keep the verification
-  /// honest after checkpoint reloads swap parameter storage. Runs WITHOUT
-  /// mu_ held — tracing dispatches ParallelFor work, and holding the engine
-  /// lock across a pool region inverts against wave chunk tasks that call
-  /// ScoreRange from inside pool work (see util::lock_rank). On success the
-  /// body is published into bodies_[count] under a short mu_ critical
-  /// section; concurrent compiles of the same count are tolerated
-  /// (first insert wins, both results are bit-identical).
-  bool CompileCount(size_t count, bool adopt_prologue,
-                    std::string* error) const SEQFM_EXCLUDES(mu_);
+  /// Traces, factors, optimizes, verifies, and self-checks the engine's
+  /// programs (see Compile). The model is read only here: Predictor builds
+  /// a new Engine from fresh traces on every checkpoint reload.
+  bool Build(core::Model* model, const data::BatchBuilder& builder,
+             size_t num_objects, size_t capacity, std::string* error);
 
-  /// The published body for \p count candidates (count-2 for a single
-  /// candidate), compiling it first if needed; null when that fails.
-  const Program* BodyFor(size_t count, std::string* error) const
-      SEQFM_EXCLUDES(mu_);
-
-  core::Model* model_ = nullptr;
-  const data::BatchBuilder* builder_ = nullptr;
-  size_t num_objects_ = 0;
-  // Probe request used for (re)tracing: user 0, history {0}.
-  std::vector<int32_t> probe_history_;
   // Index synthesis geometry (see RunProgram in exec.cc).
   int32_t cand_base_ = 0;         // FeatureSpace::CandidateIndex(0)
   int32_t unified_dyn_base_ = 0;  // static_dim: unified id of dynamic 0
@@ -176,20 +157,9 @@ class Engine {
   // hold it weakly and are evicted once it expires (see FrameFor).
   const std::shared_ptr<const void> liveness_ = std::make_shared<char>();
 
-  // mutable: written once by Compile's initial CompileCount call, via the
-  // same const path ScoreRange uses for lazy per-count bodies. Immutable
-  // after Compile returns (the engine is not published until Compile
-  // completes, and checkpoint reloads build a new Engine), so readers need
-  // no lock; not GUARDED_BY for that reason.
-  mutable Program prologue_;
-
-  /// Innermost rank: acquired for bodies_/stats_ publication and lookup
-  /// only, never held across a compile or a pool region.
-  mutable util::OrderedMutex mu_{"ir::Engine::mu_",
-                                 util::lock_rank::kIrEngine};
-  mutable std::unordered_map<size_t, std::unique_ptr<Program>> bodies_
-      SEQFM_GUARDED_BY(mu_);
-  mutable EngineStats stats_ SEQFM_GUARDED_BY(mu_);
+  Program prologue_;
+  Program body_;  // planned for body_.count rows
+  EngineStats stats_;
 };
 
 }  // namespace ir

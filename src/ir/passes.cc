@@ -50,6 +50,22 @@ bool TilesTo(const tensor::Tensor& small, const tensor::Tensor& big) {
   return true;
 }
 
+/// Sets \p axis to the one axis along which \p shapeC is \p count times
+/// \p shape1 (kNoRowAxis when the shapes are equal); false when \p shapeC
+/// scales in some other way.
+bool FindRowAxis(const std::vector<size_t>& shape1,
+                 const std::vector<size_t>& shapeC, size_t count,
+                 uint8_t* axis) {
+  *axis = kNoRowAxis;
+  if (shape1.size() != shapeC.size()) return false;
+  for (size_t a = 0; a < shape1.size(); ++a) {
+    if (shape1[a] == shapeC[a]) continue;
+    if (*axis != kNoRowAxis || shapeC[a] != count * shape1[a]) return false;
+    *axis = static_cast<uint8_t>(a);
+  }
+  return true;
+}
+
 /// Instruction-level alignment between the two traces: same op, same value
 /// ids (the traces share a construction order, hence an id space), same
 /// scalar attributes. traced_indices and bindings are reconciled separately.
@@ -652,42 +668,67 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
   res.prologue.slot_outputs = slots;
   res.prologue.uid = NextProgramUid();
 
-  // Body: the variant sub-program at count C, reading the slots. Slots whose
-  // count-C consumers saw the block-tiled shape get an explicit kTileRows
-  // from the count-1 slot tensor.
+  // Body: the variant sub-program at count C, reading the slots at their
+  // count-1 shape. A slot read where the count-C program saw it tiled gets
+  // one kTileRows copy, except as an operand of a concat_axis1 with a
+  // per-candidate partner: that kernel broadcasts a batch-1 operand itself.
   res.body = pC;
   res.body.instrs.clear();
   res.body.slot_outputs.clear();
-  std::vector<uint32_t> remap(nvals);
-  for (uint32_t v = 0; v < nvals; ++v) remap[v] = v;
+  std::vector<uint32_t> tiled(nvals, kNoValue);
+  std::vector<std::vector<size_t>> shape1(nvals);  // count-1 shapes
+  for (uint32_t v = 0; v < nvals; ++v) shape1[v] = p1.values[v].shape;
   for (size_t pos = 0; pos < slots.size(); ++pos) {
-    const uint32_t s = slots[pos];
-    Value& sv = res.body.values[s];
-    const size_t size1 = p1.values[s].size();
-    const size_t sizeC = pC.values[s].size();
+    Value& sv = res.body.values[slots[pos]];
     sv.kind = ValueKind::kSlot;
     sv.index = static_cast<uint32_t>(pos);
-    sv.shape = p1.values[s].shape;
-    if (sizeC != size1) {
-      Value tiled;
-      tiled.kind = ValueKind::kLocal;
-      tiled.shape = pC.values[s].shape;
-      const uint32_t tid = static_cast<uint32_t>(res.body.values.size());
-      res.body.values.push_back(std::move(tiled));
-      remap[s] = tid;
-      Instr tile;
-      tile.kind = OpKind::kTileRows;
-      tile.in = {s};
-      tile.out = tid;
-      res.body.instrs.push_back(std::move(tile));
-    }
+    sv.shape = shape1[slots[pos]];
   }
   for (size_t i = 0; i < pC.instrs.size(); ++i) {
     if (!variant[pC.instrs[i].out]) continue;
     Instr ins = pC.instrs[i];
     if (IsGather(ins.kind)) ins.binding = bindings[i];
-    for (uint32_t& u : ins.in) u = remap[u];
+    for (size_t j = 0; j < ins.in.size(); ++j) {
+      const uint32_t s = ins.in[j];
+      if (!is_slot[s] || p1.values[s].size() == pC.values[s].size()) continue;
+      if (ins.kind == OpKind::kConcatAxis1 && shape1[s][0] == 1 &&
+          variant[ins.in[1 - j]]) {
+        continue;
+      }
+      if (tiled[s] == kNoValue) {
+        Value t;
+        t.kind = ValueKind::kLocal;
+        t.shape = pC.values[s].shape;
+        tiled[s] = static_cast<uint32_t>(res.body.values.size());
+        res.body.values.push_back(std::move(t));
+        shape1.push_back(shape1[s]);
+        Instr tile;
+        tile.kind = OpKind::kTileRows;
+        tile.in = {s};
+        tile.out = tiled[s];
+        res.body.instrs.push_back(std::move(tile));
+      }
+      ins.in[j] = tiled[s];
+    }
     res.body.instrs.push_back(std::move(ins));
+  }
+
+  // Row axes: every value the body touches must have its count-1 shape, or
+  // that shape with one axis C times as long — the axis the executor
+  // re-views for each call's row count.
+  std::vector<char> used(res.body.values.size(), 0);
+  for (const Instr& ins : res.body.instrs) {
+    used[ins.out] = 1;
+    for (uint32_t u : ins.in) used[u] = 1;
+  }
+  for (uint32_t v = 0; v < res.body.values.size(); ++v) {
+    Value& val = res.body.values[v];
+    if (!used[v] || val.kind == ValueKind::kSlot) continue;
+    if (!FindRowAxis(shape1[v], val.shape, pC.count, &val.row_axis)) {
+      res.error = "factor: value " + std::to_string(v) +
+                  " does not scale with the candidate count along one axis";
+      return res;
+    }
   }
   res.body.uid = NextProgramUid();
   return res;

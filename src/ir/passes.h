@@ -16,9 +16,12 @@ namespace ir {
 /// 1 and C) into a factored pair of programs:
 ///   prologue  — the candidate-invariant sub-program at count 1, executed
 ///               once per (user, history) and cached in the ContextCache;
-///   body      — the per-candidate sub-program at count C, reading the
-///               prologue's outputs through kSlot values (tiled to count C
-///               where shapes demand it).
+///   body      — the per-candidate sub-program, reading the prologue's
+///               outputs through kSlot values (tiled or broadcast where
+///               shapes demand it). Each body value scales with the row
+///               count along one axis (Value::row_axis) or not at all, so
+///               one body, resized to the largest chunk (ResizeRows), runs
+///               every candidate count.
 /// SplitAttention runs on the two traces first. Each sub-program then goes
 /// through FoldConstants → DeadCodeElim → FuseElementwise → PlanArena before
 /// execution.
@@ -67,10 +70,12 @@ size_t SplitAttention(TraceResult* trace1, TraceResult* traceC,
 /// (its count-C tensor is exactly the count-1 tensor block-tiled C times,
 /// bit-for-bit). Structural claims an empirical check refutes are demoted
 /// and the taint re-propagated to a fixpoint, so a surprising numeric
-/// dependence can never be hoisted. Fails (with .error set) when the traces
-/// do not align instruction-for-instruction, when a gather binding cannot be
-/// reconciled across counts, or when the final score itself is
-/// candidate-invariant.
+/// dependence can never be hoisted. Each body value records its row axis:
+/// the axis whose count-C extent is C times its count-1 extent. Fails (with
+/// .error set) when the traces do not align instruction-for-instruction,
+/// when a gather binding cannot be reconciled across counts, when a body
+/// value's shape changes across counts other than along one such axis, or
+/// when the final score itself is candidate-invariant.
 FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
                     const data::Batch& batch1, const data::Batch& batchC);
 
@@ -92,7 +97,9 @@ size_t FuseElementwise(Program* program);
 
 /// Assigns every live kLocal value a fixed offset in the execution frame via
 /// lifetime analysis (first-fit over a merged free list, 64-byte-aligned
-/// offsets) and sets Program::frame_floats to the planned high water.
+/// offsets) and sets Program::frame_floats to the planned high water. Sizes
+/// are taken at Program::count rows; a run over fewer rows uses a prefix of
+/// each range.
 /// Aliased values share their root's buffer and extend its lifetime. Must
 /// run after the other passes.
 void PlanArena(Program* program);

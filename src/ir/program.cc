@@ -13,6 +13,16 @@ uint64_t NextProgramUid() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+void ResizeRows(Program* program, size_t rows) {
+  SEQFM_CHECK_GT(program->count, 0u);
+  for (Value& v : program->values) {
+    if (v.row_axis == kNoRowAxis) continue;
+    size_t& extent = v.shape[v.row_axis];
+    extent = extent / program->count * rows;
+  }
+  program->count = rows;
+}
+
 void MaterializeMask(OpKind kind, bool causal, size_t ns,
                      const int32_t* dynamic_ids, size_t batch, size_t n,
                      size_t total, float* dst) {

@@ -18,8 +18,10 @@ namespace ir {
 /// A Program is a straight-line SSA-ish instruction list recorded by tracing
 /// one tape-free model forward (trace.h), then rewritten by the optimization
 /// passes (passes.h) and executed allocation-free by the VM (exec.h). Every
-/// instruction reads and writes Value ids; shapes are static — a program is
-/// specialized to one candidate count and recompiled (cheaply) for another.
+/// instruction reads and writes Value ids. Shapes are static except along a
+/// body value's row axis (Value::row_axis): a body is planned for
+/// Program::count rows and runs any row count up to it, so one body serves
+/// every candidate count.
 
 /// Instruction opcode: the op vocabulary autograd records (see
 /// autograd/op_kind.h), shared so a traced node's kind is the instruction's
@@ -56,6 +58,8 @@ struct IndexBinding {
 };
 
 constexpr uint32_t kNoValue = 0xffffffffu;
+/// Value::row_axis of a value whose shape does not depend on the row count.
+constexpr uint8_t kNoRowAxis = 0xff;
 
 struct Instr {
   OpKind kind = OpKind::kAdd;
@@ -88,6 +92,10 @@ struct Value {
   /// Fusion: when != kNoValue this local shares its buffer with that value
   /// (in-place elementwise chains, copy-elided reshapes).
   uint32_t alias_of = kNoValue;
+  /// The axis whose extent is a fixed per-row extent times the program's
+  /// row count (Program::count), or kNoRowAxis. Only body locals scale:
+  /// the executor re-views them for each call's row count.
+  uint8_t row_axis = kNoRowAxis;
 
   size_t size() const {
     size_t n = 1;
@@ -110,8 +118,9 @@ struct Program {
   /// Value ids written into SharedContext::slots, in slot order (prologues).
   std::vector<uint32_t> slot_outputs;
 
-  /// Candidate count the trace ran at, and the Batch index geometry the
-  /// executor synthesizes per chunk.
+  /// Row (candidate) count the value shapes are sized for: the count a
+  /// trace ran at, and a body's planned capacity. Then the Batch index
+  /// geometry the executor synthesizes per chunk.
   size_t count = 0;
   size_t n_static = 0;
   size_t n_seq = 0;
@@ -125,6 +134,10 @@ struct Program {
 
 /// Process-unique program id for frame caching.
 uint64_t NextProgramUid();
+
+/// Re-sizes every row-scaled value of \p program (Value::row_axis) from
+/// program->count rows to \p rows rows and sets program->count to \p rows.
+void ResizeRows(Program* program, size_t rows);
 
 /// Materializes a compiler-synthesized mask/zeros instruction into \p dst
 /// (size \p batch * rows_per_sample * cols as implied by the kind) from the

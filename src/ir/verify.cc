@@ -301,12 +301,15 @@ Status CheckInstrShapes(const Program& p, size_t i, const Instr& ins) {
       SEQFM_RETURN_NOT_OK(want_arity(2));
       SEQFM_RETURN_NOT_OK(want_rank(0, 3));
       SEQFM_RETURN_NOT_OK(want_rank(1, 3));
+      // A batch-1 operand is broadcast over the other operand's batch.
       const Value& a = in_val(0);
       const Value& b = in_val(1);
-      if (Dim(a, 0) != Dim(b, 0) || Dim(a, 2) != Dim(b, 2)) {
+      const size_t batch = std::max(Dim(a, 0), Dim(b, 0));
+      if ((Dim(a, 0) != batch && Dim(a, 0) != 1) ||
+          (Dim(b, 0) != batch && Dim(b, 0) != 1) || Dim(a, 2) != Dim(b, 2)) {
         return err("shape mismatch: operands disagree outside axis 1");
       }
-      if (out.size() != Dim(a, 0) * (Dim(a, 1) + Dim(b, 1)) * Dim(a, 2)) {
+      if (out.size() != batch * (Dim(a, 1) + Dim(b, 1)) * Dim(a, 2)) {
         return err("shape mismatch: out is not the axis-1 concatenation");
       }
       return Status::OK();
@@ -472,7 +475,9 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
   const size_t nvals = p.values.size();
   const size_t ninstr = p.instrs.size();
 
-  // --- Value-table statics: every non-local value must be resolvable. ---
+  // --- Value-table statics: every non-local value must be resolvable, and
+  // only locals scale with the row count. ---
+  bool scales = false;
   for (uint32_t id = 0; id < nvals; ++id) {
     const Value& v = p.values[id];
     switch (v.kind) {
@@ -516,6 +521,20 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
       return Status::Internal("value " + V(id) +
                               ": non-local value carries a fusion alias");
     }
+    if (v.row_axis == kNoRowAxis) continue;
+    if (v.kind != ValueKind::kLocal) {
+      return Status::Internal("value " + V(id) +
+                              ": a parameter, captured constant or slot "
+                              "cannot scale with the row count");
+    }
+    if (v.row_axis >= Rank(v) || p.count == 0 ||
+        v.shape[v.row_axis] % p.count != 0) {
+      return Status::Internal("value " + V(id) + ": row axis " +
+                              std::to_string(v.row_axis) +
+                              " is not a multiple of the program's " +
+                              std::to_string(p.count) + " rows");
+    }
+    scales = true;
   }
 
   // --- Instruction table: id ranges, SSA single definition. ---
@@ -646,6 +665,22 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
     }
     SEQFM_RETURN_NOT_OK(CheckAttributes(i, ins));
     SEQFM_RETURN_NOT_OK(CheckInstrShapes(p, i, ins));
+  }
+  // A program that scales must keep every shape contract at any row count
+  // up to p.count. The contracts are products of extents, so holding at one
+  // row and at p.count rows rules out a value scaling unlike its operands.
+  if (scales) {
+    Program one;
+    one.values = p.values;
+    one.count = p.count;
+    one.n_static = p.n_static;
+    one.n_seq = p.n_seq;
+    one.n_unified = p.n_unified;
+    ResizeRows(&one, 1);
+    for (size_t i = 0; i < ninstr; ++i) {
+      const Status st = CheckInstrShapes(one, i, p.instrs[i]);
+      if (!st.ok()) return Status::Internal("at 1 row: " + st.message());
+    }
   }
 
   // --- Externally visible results exist and survive to the end. ---

@@ -12,12 +12,12 @@ namespace ir {
 /// \brief Structural verifier for compiled op programs.
 ///
 /// The serving compiler's end-to-end defense is the bit-parity self-check in
-/// Engine::CompileCount (replay vs. traced forward, cross-probe). Verify is
+/// Engine::Compile (replay vs. traced forward, cross-probe). Verify is
 /// the complementary *structural* defense: it proves, per program, that the
 /// instruction list is well-formed independent of any particular request, so
 /// a pass bug surfaces as a precise diagnostic at the pass that introduced it
 /// instead of as a downstream bit mismatch (or, worse, a clean-looking read
-/// of clobbered memory that happens to match). Engine::CompileCount runs it
+/// of clobbered memory that happens to match). Engine::Compile runs it
 /// after every pass; any failure aborts the compile and the Predictor falls
 /// back to the eager path — never wrong bits.
 ///
@@ -28,7 +28,12 @@ namespace ir {
 ///   - per-op agreement with the executor's shape contracts (arity, ranks,
 ///     inner-dimension matches, elementwise size equality — the same
 ///     relations EvalPure / RunProgram index by), including slice_block's
-///     block bounds;
+///     block bounds and concat_axis1's batch-1 broadcast;
+///   - runtime row count: only locals carry a row axis (a captured constant,
+///     parameter or slot cannot change with the row count), its extent is a
+///     multiple of Program::count, and every shape contract holds at one row
+///     as well as at Program::count rows, so the body is sound at any row
+///     count the executor runs it at;
 ///   - attribute hygiene: transposes and block columns appear only on the
 ///     ops that read them;
 ///   - value-kind soundness: params are live non-null nodes, constant

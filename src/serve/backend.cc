@@ -14,9 +14,8 @@
 namespace seqfm {
 namespace serve {
 
-LocalShardBackend::LocalShardBackend(const Predictor* predictor,
-                                     LocalShardBackendOptions options)
-    : predictor_(predictor), options_(options) {
+LocalShardBackend::LocalShardBackend(const Predictor* predictor)
+    : predictor_(predictor) {
   SEQFM_CHECK(predictor_ != nullptr) << "LocalShardBackend: null predictor";
 }
 
@@ -89,9 +88,7 @@ Status LocalShardBackend::ScoreTopK(
   // and each job reduces into one bounded top-K heap, so the batch holds
   // sum_j min(k_j, range_j) retained entries plus one chunk-local score
   // buffer per pool thread — never a full score vector.
-  const size_t chunk_size = options_.micro_batch > 0
-                                ? options_.micro_batch
-                                : predictor_->options().micro_batch;
+  const size_t chunk_size = predictor_->options().micro_batch;
   struct JobChunk {
     size_t job;
     size_t begin;
@@ -111,11 +108,6 @@ Status LocalShardBackend::ScoreTopK(
          begin += chunk_size) {
       tasks.push_back({j, begin, std::min(jobs[j].end, begin + chunk_size)});
     }
-  }
-  if (predictor_->compiled_active()) {
-    std::vector<size_t> sizes;
-    for (const JobChunk& task : tasks) sizes.push_back(task.end - task.begin);
-    predictor_->PrepareChunks(std::move(sizes));
   }
   // Chunk tasks of the same job may run concurrently; its heap is fed under
   // a mutex, and the retained set is push-order independent (RankBefore is

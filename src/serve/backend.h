@@ -91,11 +91,6 @@ class ScoringBackend {
   virtual BackendRecoveryStats RecoveryStats() const { return {}; }
 };
 
-struct LocalShardBackendOptions {
-  /// Candidates per pool chunk task; 0 uses the Predictor's micro_batch.
-  size_t micro_batch = 0;
-};
-
 /// \brief In-process ScoringBackend over a serve::Predictor.
 ///
 /// Runs a job batch the way BatchServer::ServeWave and
@@ -103,8 +98,9 @@ struct LocalShardBackendOptions {
 ///   1. resolve each unique (user, history) SharedContext once per batch —
 ///      deduped across jobs before the ContextCache is even consulted, so a
 ///      cold cache never computes the same context twice in one batch;
-///   2. one fused ParallelFor over every (job, chunk) task, chunks never
-///      crossing a job boundary, reduced into one bounded TopKHeap per job
+///   2. one fused ParallelFor over every (job, chunk) task — chunks of the
+///      Predictor's micro_batch, never crossing a job boundary — reduced
+///      into one bounded TopKHeap per job
 ///      (chunk-locally first, then <= k survivors under the job's mutex);
 ///   3. per-job SortedEntries as the result runs.
 /// The retained set of a TopKHeap is push-order independent and RankBefore
@@ -115,18 +111,15 @@ struct LocalShardBackendOptions {
 /// Predictor is borrowed and must outlive this object.
 class LocalShardBackend : public ScoringBackend {
  public:
-  explicit LocalShardBackend(const Predictor* predictor,
-                             LocalShardBackendOptions options = {});
+  explicit LocalShardBackend(const Predictor* predictor);
 
   Status ScoreTopK(const std::vector<ScoreJob>& jobs,
                    std::vector<std::vector<RankEntry>>* results) override;
 
   const Predictor* predictor() const { return predictor_; }
-  const LocalShardBackendOptions& options() const { return options_; }
 
  private:
   const Predictor* predictor_;
-  LocalShardBackendOptions options_;
 };
 
 /// \brief Identity of one replica (or local stand-in) in a distributed

@@ -32,7 +32,7 @@ Predictor::Predictor(core::Model* model, const data::BatchBuilder* builder,
 
 void Predictor::CompileEngine() {
   engine_.reset();
-  engine_failed_.store(false, std::memory_order_relaxed);
+  engine_failed_ = false;
   if (!options_.use_compiled_program ||
       builder_->space().num_objects() < 2 ||
       builder_->space().num_users() < 1) {
@@ -43,7 +43,8 @@ void Predictor::CompileEngine() {
   // compiler has already self-checked any engine it returns.
   std::string error;
   engine_ = ir::Engine::Compile(model_, builder_,
-                                builder_->space().num_objects(), &error);
+                                builder_->space().num_objects(),
+                                options_.micro_batch, &error);
   if (engine_ == nullptr) {
     SEQFM_LOG(Info) << "serving compiler: '" << model_->name()
                     << "' stays on the eager path (" << error << ")";
@@ -79,7 +80,7 @@ Status Predictor::ReloadCheckpoint(const std::string& path) {
   // Re-verify the slot ABI of the fresh engine before any request scores
   // through it: a body slot miswired against the prologue reads the wrong
   // context floats and serves garbage rankings without crashing — the one
-  // compiled-path failure the per-count self-checks cannot catch, because
+  // compiled-path failure the compile's self-checks cannot catch, because
   // each half verifies in isolation. A mismatch does not fail the reload
   // (the parameters ARE the new checkpoint); it latches the compiled path
   // off and serving falls back to the eager path.
@@ -91,7 +92,7 @@ Status Predictor::ReloadCheckpoint(const std::string& path) {
                             "failed after checkpoint reload; serving falls "
                             "back to the eager path: "
                          << abi.ToString();
-      engine_failed_.store(true, std::memory_order_relaxed);
+      engine_failed_ = true;
     }
   }
   return Status::OK();
@@ -181,34 +182,14 @@ void Predictor::ScoreContextRange(const ir::SharedContext& ctx,
                                   const data::SequenceExample& ex,
                                   const std::vector<int32_t>& candidates,
                                   size_t begin, size_t end, float* out) const {
-  if (compiled_active() && ctx.engine_uid == engine_->uid()) {
-    std::string error;
-    if (engine_->ScoreRange(ctx, candidates, begin, end, out, &error)) {
-      return;
-    }
-    // A lazy per-count body failed to compile or verify: serve this and
-    // every later chunk through the eager path.
-    DisableEngine(error);
+  // The engine refuses a range past its capacity or a context of another
+  // engine without scoring anything; both score eagerly instead.
+  std::string error;
+  if (compiled_active() &&
+      engine_->ScoreRange(ctx, candidates, begin, end, out, &error)) {
+    return;
   }
   ScoreGenericRange(ex, candidates, begin, end, out);
-}
-
-void Predictor::PrepareChunks(std::vector<size_t> sizes) const {
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
-  for (size_t size : sizes) {
-    if (!compiled_active()) return;
-    std::string error;
-    if (!engine_->PrepareBody(size, &error)) DisableEngine(error);
-  }
-}
-
-void Predictor::DisableEngine(const std::string& error) const {
-  if (!engine_failed_.exchange(true)) {
-    SEQFM_LOG(Warning) << "serving compiler: disabling compiled path for '"
-                       << model_->name() << "': " << error;
-    if (cache_) cache_->Invalidate();
-  }
 }
 
 std::vector<float> Predictor::ScoreContext(
@@ -220,7 +201,6 @@ std::vector<float> Predictor::ScoreContext(
   const size_t num_chunks = (total + chunk_size - 1) / chunk_size;
   std::vector<float> scores(total);
 
-  PrepareChunks({std::min(total, chunk_size), total % chunk_size});
   util::ParallelFor(num_chunks, 1, [&](size_t c0, size_t c1) {
     for (size_t c = c0; c < c1; ++c) {
       const size_t begin = c * chunk_size;

@@ -1,7 +1,6 @@
 #ifndef SEQFM_SERVE_PREDICTOR_H_
 #define SEQFM_SERVE_PREDICTOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -19,8 +18,9 @@ namespace seqfm {
 namespace serve {
 
 struct PredictorOptions {
-  /// Candidates scored per tape-free forward. Also the chunk the candidate
-  /// loop hands to the shared util::ThreadPool.
+  /// Candidates scored per tape-free forward. Also the chunk every serving
+  /// front end (Predictor, ShardedPredictor, BatchServer) hands to the
+  /// shared util::ThreadPool, and the row capacity of the compiled body.
   size_t micro_batch = 256;
   /// Compile the model into a static op program at construction (trace → IR
   /// passes → arena-planned VM; see src/ir/) and serve every request through
@@ -28,11 +28,11 @@ struct PredictorOptions {
   /// feeds the context cache, the per-candidate body replays per chunk with
   /// zero steady-state allocations. Applies to ANY traceable model, not just
   /// SeqFM. Scores stay bit-for-bit identical to Model::Score — the compiler
-  /// self-checks both program halves against the traced forward and the
-  /// Predictor permanently falls back to the eager path (one warning) if a
-  /// lazy per-count compile ever fails. Set to false to force eager serving:
-  /// the parity oracle, whose op outputs come from the worker thread's
-  /// core::ScratchArena.
+  /// self-checks both program halves against the traced forward, and a model
+  /// that does not compile stays on the eager path. Nothing compiles after
+  /// construction (or a reload): one body serves every chunk size. Set to
+  /// false to force eager serving: the parity oracle, whose op outputs come
+  /// from the worker thread's core::ScratchArena.
   bool use_compiled_program = true;
   /// Byte budget for the (user, history) ir::SharedContext LRU cache in
   /// front of the compiled program; 0 disables caching. Each entry holds the
@@ -141,23 +141,14 @@ class Predictor {
   /// program, writing the end - begin results to out[0, end - begin).
   /// Taking a chunk-local output buffer (rather than a catalog-sized one
   /// indexed by begin) is what lets sharded serving bound its memory to one
-  /// chunk per pool thread. Sets up its own NoGradGuard, so it can run
-  /// directly on pool worker threads. A compiled-path failure (a lazy
-  /// per-count body compile that does not verify) permanently disables the
-  /// engine and re-scores the chunk through ScoreGenericRange, so results
-  /// are always produced.
+  /// chunk per pool thread. A range longer than micro_batch (the body's
+  /// capacity), a context of a replaced engine, or a latched-off compiled
+  /// path scores through ScoreGenericRange instead, so results are always
+  /// produced.
   void ScoreContextRange(const ir::SharedContext& ctx,
                          const data::SequenceExample& ex,
                          const std::vector<int32_t>& candidates,
                          size_t begin, size_t end, float* out) const;
-
-  /// Compiles, on the calling thread, the body for each chunk size in
-  /// \p sizes that the engine lacks (ir::Engine::PrepareBody). Callers
-  /// that fan ScoreContextRange chunks out over the pool call it first, so
-  /// a new size compiles once on the caller rather than concurrently on
-  /// whichever workers pick its chunks up. A failed compile disables the
-  /// engine as a failed chunk would. No-op unless compiled_active().
-  void PrepareChunks(std::vector<size_t> sizes) const;
 
   /// Generic-path equivalent of ScoreContextRange (any model).
   void ScoreGenericRange(const data::SequenceExample& ex,
@@ -168,8 +159,7 @@ class Predictor {
   /// AcquireContext + ScoreContextRange pair) instead of the generic
   /// per-chunk rebuild.
   bool compiled_active() const {
-    return engine_ != nullptr &&
-           !engine_failed_.load(std::memory_order_relaxed);
+    return engine_ != nullptr && !engine_failed_;
   }
 
   /// The compiled engine, or null when the model did not compile (or
@@ -205,24 +195,17 @@ class Predictor {
   /// engine_failed_. Requires quiesced scoring (same contract as
   /// ReloadCheckpoint).
   void CompileEngine();
-  /// Latches engine_failed_ after a compiled-path failure: warns once and
-  /// drops cached contexts, whose slot tensors no body can now consume.
-  void DisableEngine(const std::string& error) const;
 
   core::Model* model_;
   const data::BatchBuilder* builder_;
   PredictorOptions options_;
   /// Non-null iff the model compiled into a (prologue, body) op program.
   std::unique_ptr<ir::Engine> engine_;
-  /// Latched on the first compiled-path failure (a per-count body that does
-  /// not verify); from then on every request takes the eager path.
-  /// Memory order audit: relaxed is sufficient — the flag is a pure latch
-  /// that publishes no data. A thread observing it stale merely retries the
-  /// compiled path and latches again (idempotent); the eager path reads
-  /// only state that was immutable before serving started. The store in
-  /// CompileEngine runs with scoring quiesced (ReloadCheckpoint contract),
-  /// so it cannot race a latch.
-  mutable std::atomic<bool> engine_failed_{false};
+  /// Set when a reloaded engine fails its slot-ABI re-verification; from
+  /// then on every request takes the eager path. Written only with scoring
+  /// quiesced (CompileEngine and ReloadCheckpoint), so reads need no
+  /// synchronization.
+  bool engine_failed_ = false;
   /// Test-only (SetReloadCorruptionHookForTest); empty in production.
   std::function<void(ir::Engine*)> reload_corruption_hook_;
   std::unique_ptr<ContextCache> cache_;

@@ -103,21 +103,6 @@ std::vector<ScoredItem> MergeSortedRuns(
   return top;
 }
 
-std::vector<ShardChunk> MakeShardChunks(const std::vector<size_t>& bounds,
-                                        size_t chunk_size) {
-  SEQFM_CHECK_GT(chunk_size, 0u);
-  std::vector<ShardChunk> chunks;
-  for (size_t s = 0; s + 1 < bounds.size(); ++s) {
-    // Chunks never straddle a shard boundary: each restarts at the shard.
-    for (size_t begin = bounds[s]; begin < bounds[s + 1];
-         begin += chunk_size) {
-      chunks.push_back({s, begin, std::min(bounds[s + 1],
-                                           begin + chunk_size)});
-    }
-  }
-  return chunks;
-}
-
 void ScoreChunkIntoHeap(const Predictor& predictor,
                         const ir::SharedContext* ctx,
                         const data::SequenceExample& ex,
@@ -159,8 +144,7 @@ ShardedPredictor::ShardedPredictor(Predictor* predictor,
                                    ShardedPredictorOptions options)
     : predictor_(predictor),
       options_(options),
-      backend_(std::make_unique<LocalShardBackend>(
-          predictor, LocalShardBackendOptions{options.micro_batch})),
+      backend_(std::make_unique<LocalShardBackend>(predictor)),
       full_catalog_bounds_(FullCatalogBounds(predictor, options.num_shards)) {}
 
 ShardedPredictor::~ShardedPredictor() = default;

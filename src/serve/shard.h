@@ -56,7 +56,7 @@ class ShardedCatalog {
   size_t shard_size(size_t shard) const {
     return bounds_[shard + 1] - bounds_[shard];
   }
-  /// All num_shards + 1 boundary offsets (MakeShardChunks input).
+  /// All num_shards + 1 boundary offsets.
   const std::vector<size_t>& bounds() const { return bounds_; }
 
  private:
@@ -120,12 +120,6 @@ struct ShardChunk {
   size_t end = 0;
 };
 
-/// Enumerates the chunk tasks covering \p bounds (as produced by
-/// ShardedCatalog::Bounds) with at most \p chunk_size candidates each, in
-/// shard-then-position order.
-std::vector<ShardChunk> MakeShardChunks(const std::vector<size_t>& bounds,
-                                        size_t chunk_size);
-
 /// Runs one ShardChunk task: scores candidates[chunk.begin, chunk.end) —
 /// through the compiled program against \p ctx when non-null, through the
 /// generic path for \p ex otherwise — into \p chunk_scores (resized), then
@@ -145,9 +139,6 @@ struct ShardedPredictorOptions {
   /// as independent chunk tasks on the one global util::ThreadPool (never a
   /// nested pool) and reduced into its own bounded top-K heap.
   size_t num_shards = 1;
-  /// Candidates per chunk task; 0 uses the Predictor's micro_batch. Chunks
-  /// never straddle a shard boundary.
-  size_t micro_batch = 0;
 };
 
 /// \brief Sharded catalog scoring over a serve::Predictor.

@@ -447,11 +447,11 @@ void ConcatLastDim(const std::vector<const Tensor*>& parts, Tensor* out) {
 }
 
 void ConcatAxis1(const Tensor& a, const Tensor& b, Tensor* out) {
-  const size_t batch = a.dim(0), na = a.dim(1), nb = b.dim(1), d = a.dim(2);
+  const size_t batch = out->dim(0), na = a.dim(1), nb = b.dim(1), d = a.dim(2);
   for (size_t i = 0; i < batch; ++i) {
     float* dst = out->BatchData(i);
-    const float* sa = a.BatchData(i);
-    const float* sb = b.BatchData(i);
+    const float* sa = a.BatchData(a.dim(0) == 1 ? 0 : i);
+    const float* sb = b.BatchData(b.dim(0) == 1 ? 0 : i);
     for (size_t j = 0; j < na * d; ++j) dst[j] = sa[j];
     for (size_t j = 0; j < nb * d; ++j) dst[na * d + j] = sb[j];
   }

@@ -105,7 +105,8 @@ void LayerNormLastDim(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 /// Structural copies.
 /// Concatenates rank-2 [B, d_i] tensors along the last dim -> [B, sum d_i].
 void ConcatLastDim(const std::vector<const Tensor*>& parts, Tensor* out);
-/// Concatenates rank-3 [B, na, d] and [B, nb, d] along axis 1.
+/// Concatenates rank-3 [B, na, d] and [B, nb, d] along axis 1 into out's
+/// B batch items; an operand with batch 1 is broadcast over all of them.
 void ConcatAxis1(const Tensor& a, const Tensor& b, Tensor* out);
 /// Row \p row of axis 1: [B, n, d] -> [B, d].
 void SliceRow(const Tensor& in, size_t row, Tensor* out);

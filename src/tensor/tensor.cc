@@ -143,6 +143,14 @@ Status Tensor::ReshapeInPlace(std::vector<size_t> shape) {
   return Status::OK();
 }
 
+void Tensor::ResizeWrappedAxis(size_t axis, size_t extent) {
+  SEQFM_CHECK(!data_.owned() && data_.data() != nullptr)
+      << "ResizeWrappedAxis: not a WrapExternal tensor";
+  SEQFM_CHECK(axis < shape_.size() && extent > 0);
+  shape_[axis] = extent;
+  data_.WrapExternal(data_.data(), NumElements(shape_));
+}
+
 void Tensor::Fill(float value) {
   float* p = data_.data();
   const size_t n = data_.size();

@@ -171,6 +171,11 @@ class Tensor {
   /// Reinterprets the tensor with a new shape of identical element count.
   Status ReshapeInPlace(std::vector<size_t> shape);
 
+  /// Sets dimension \p axis of a WrapExternal tensor to \p extent, in place
+  /// and without allocating: the data pointer stays and the element count
+  /// follows the new shape. The wrapped buffer must hold that many floats.
+  void ResizeWrappedAxis(size_t axis, size_t extent);
+
   /// Element access --------------------------------------------------------
 
   float* data() { return data_.data(); }

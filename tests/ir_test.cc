@@ -623,6 +623,50 @@ TEST(VerifierTest, RejectsSharedOperandTransposesThatDoNotFit) {
   ExpectVerifyRejects(p, "trans_a set on a non-bmm op");
 }
 
+TEST(VerifierTest, ConcatAxis1BroadcastsOnlyABatchOneOperand) {
+  // A shared [1, 1, 3] row ahead of a per-row [4, 2, 3] block: [4, 3, 3].
+  ir::Program p;
+  const uint32_t row = AddConstant(&p, tensor::Tensor::Ones({1, 1, 3}));
+  const uint32_t blk = AddConstant(&p, tensor::Tensor::Ones({4, 2, 3}));
+  const uint32_t cat = AddLocal(&p, {4, 3, 3});
+  AddInstr(&p, ir::OpKind::kConcatAxis1, {row, blk}, cat);
+  p.output = cat;
+  const Status ok = ir::Verify(p);
+  ASSERT_TRUE(ok.ok()) << ok.message();
+
+  // Batches 2 and 4 do not broadcast.
+  p.constants[p.values[row].index] = tensor::Tensor::Ones({2, 1, 3});
+  p.values[row].shape = {2, 1, 3};
+  ExpectVerifyRejects(p, "operands disagree outside axis 1");
+}
+
+TEST(VerifierTest, RowScaledValuesKeepEveryContractAtOneRow) {
+  // A body planned for 4 rows: a shared row tiled per row, then a relu.
+  ir::Program p;
+  p.count = 4;
+  const uint32_t shared = AddConstant(&p, tensor::Tensor::Ones({1, 1, 3}));
+  const uint32_t tiled = AddLocal(&p, {4, 1, 3});
+  const uint32_t act = AddLocal(&p, {4, 1, 3});
+  AddInstr(&p, ir::OpKind::kTileRows, {shared}, tiled);
+  AddInstr(&p, ir::OpKind::kRelu, {tiled}, act);
+  p.values[tiled].row_axis = 0;
+  p.values[act].row_axis = 0;
+  p.output = act;
+  const Status ok = ir::Verify(p);
+  ASSERT_TRUE(ok.ok()) << ok.message();
+
+  // The relu output keeps its 4 rows while its operand scales: sound at 4
+  // rows, not at 1.
+  p.values[act].row_axis = ir::kNoRowAxis;
+  ExpectVerifyRejects(p, "at 1 row: instr #1 (relu): shape mismatch");
+  p.values[act].row_axis = 2;  // extent 3 is no multiple of 4 rows
+  ExpectVerifyRejects(p, "is not a multiple of the program's 4 rows");
+  p.values[act].row_axis = 0;
+  // A captured constant cannot change with the row count.
+  p.values[shared].row_axis = 0;
+  ExpectVerifyRejects(p, "cannot scale with the row count");
+}
+
 TEST(VerifierTest, RejectsIllegalFusionAlias) {
   ir::Program p = SmallValidProgram();
   // kAdd is not a pointwise in-place op: writing its output over in[0]
@@ -674,7 +718,7 @@ TEST(VerifierTest, RejectsOverlappingLiveArenaRanges) {
 // ---------------------------------------------------------------------------
 // Verifier x pipeline: for every model, each pass of the default pipeline
 // leaves both factored halves verifier-clean (the same sequence — and the
-// same options — Engine::CompileCount checks after every stage).
+// same options — Engine::Compile checks after every stage).
 // ---------------------------------------------------------------------------
 
 class VerifierPipelineTest : public ::testing::TestWithParam<std::string> {};
@@ -715,6 +759,11 @@ TEST_P(VerifierPipelineTest, EveryPassLeavesTheProgramVerifierClean) {
         GetParam() + (is_body ? " body " : " prologue ");
     st = ir::Verify(*half, opts);
     EXPECT_TRUE(st.ok()) << who << "after factor: " << st.message();
+    if (is_body) {
+      ir::ResizeRows(half, 256);
+      st = ir::Verify(*half, opts);
+      EXPECT_TRUE(st.ok()) << who << "after resize_rows: " << st.message();
+    }
     ir::FoldConstants(half);
     st = ir::Verify(*half, opts);
     EXPECT_TRUE(st.ok()) << who << "after fold_constants: " << st.message();
@@ -755,9 +804,12 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
   auto model = MakeModelByName(GetParam(), space);
 
   serve::PredictorOptions compiled_opts;
-  compiled_opts.micro_batch = 4;  // several chunks (and body counts) per scan
+  compiled_opts.micro_batch = 4;  // several chunks (and row counts) per scan
   compiled_opts.context_cache_bytes = 1 << 20;
   serve::Predictor compiled(model.get(), &builder, compiled_opts);
+  // The default 256-row body, for chunks of up to 256 candidates.
+  serve::Predictor wide(model.get(), &builder);
+  ASSERT_TRUE(wide.compiled_active()) << GetParam();
   ASSERT_TRUE(compiled.compiled_active())
       << GetParam() << " must compile into an op program";
   ASSERT_NE(compiled.engine(), nullptr);
@@ -773,7 +825,6 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
   }
 
   serve::PredictorOptions eager_opts;
-  eager_opts.micro_batch = 4;
   eager_opts.use_compiled_program = false;
   serve::Predictor eager(model.get(), &builder, eager_opts);
   EXPECT_FALSE(eager.compiled_active());
@@ -801,14 +852,25 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
         ASSERT_EQ(want.size(), got.size());
         ExpectBitEqual(want.data(), got.data(), want.size(), where);
 
+        // One body at every row count: around 1, the factoring count 2, the
+        // self-checked count 3, and the 256-row capacity (257 runs 256 + 1).
+        for (size_t count : {1u, 2u, 3u, 7u, 8u, 9u, 255u, 256u, 257u}) {
+          std::vector<int32_t> cands(count);
+          for (size_t i = 0; i < count; ++i) {
+            cands[i] = static_cast<int32_t>((7 * i + count) % catalog.size());
+          }
+          const std::vector<float> w = eager.ScoreCandidates(ex, cands);
+          const std::vector<float> g = wide.ScoreCandidates(ex, cands);
+          ASSERT_EQ(w.size(), g.size());
+          ExpectBitEqual(w.data(), g.data(), w.size(),
+                         where + " count=" + std::to_string(count));
+        }
+
         // Sharded serving over the compiled predictor reproduces the eager
         // unsharded ranking exactly (scores compared as bits).
         const std::vector<serve::ScoredItem> ref = eager.TopKAll(ex, 5);
         for (size_t shards : {1u, 3u}) {
-          serve::ShardedPredictorOptions sopts;
-          sopts.num_shards = shards;
-          sopts.micro_batch = 4;
-          serve::ShardedPredictor sharded(&compiled, sopts);
+          serve::ShardedPredictor sharded(&compiled, {shards});
           const std::vector<serve::ScoredItem> top = sharded.TopKAll(ex, 5);
           ASSERT_EQ(top.size(), ref.size()) << where;
           for (size_t i = 0; i < top.size(); ++i) {
@@ -823,8 +885,10 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
       }
     }
   }
-  EXPECT_TRUE(compiled.compiled_active())
-      << GetParam() << " fell back to eager mid-test";
+  for (const serve::Predictor* p : {&compiled, &wide}) {
+    EXPECT_TRUE(p->compiled_active()) << GetParam() << " fell back to eager";
+    EXPECT_EQ(p->engine()->stats().compiled_counts, 1u) << GetParam();
+  }
   util::SetGlobalThreads(1);
   util::SetSimdLevel(prev_level);
 }
@@ -890,7 +954,9 @@ TEST(SplitAttentionTest, SeqFmBodyHoldsNoPerCandidateScoreSquare) {
     const ir::Program& body = f.body;
     const size_t r = 2 + core::SeqFmConfig().max_seq_len;  // stacked rows
     size_t shared_gemms = 0;
+    size_t tiles = 0;
     for (const ir::Instr& ins : body.instrs) {
+      if (ins.kind == ir::OpKind::kTileRows) ++tiles;
       const std::vector<size_t>& shape = body.values[ins.out].shape;
       const bool square =
           (shape.size() == 3 && shape[1] == r && shape[2] == r) ||
@@ -910,6 +976,11 @@ TEST(SplitAttentionTest, SeqFmBodyHoldsNoPerCandidateScoreSquare) {
     // the captured cross mask also its scores against, and its sum over,
     // the shared history keys and values.
     EXPECT_EQ(shared_gemms, pad_keys ? 6u : 8u) << name;
+    // A concat_axis1 broadcasts the user row's shared blocks itself, so the
+    // captured-mask body copies at most two slots per candidate.
+    if (!pad_keys) {
+      EXPECT_LE(tiles, 2u) << name;
+    }
   }
 }
 
@@ -993,39 +1064,72 @@ TEST(CompiledLifecycleTest, SingleObjectCatalogFallsBackToEagerServing) {
   ExpectBitEqual(scores.data(), taped.value().data(), 1, "tiny catalog");
 }
 
-TEST(CompiledLifecycleTest, PrepareChunksCompilesEachNewChunkSizeOnce) {
-  // Callers that fan chunks out over the pool compile the bodies for the
-  // chunk sizes first, on their own thread; scoring then compiles nothing.
+TEST(CompiledLifecycleTest, OneBodyServesEveryCandidateCount) {
+  // The body compiled in the constructor runs any row count up to its
+  // capacity: requests of 1, 3, 4 and 9 candidates in mixed order compile
+  // nothing more and keep the taped forward's bits.
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  auto model = MakeModelByName("SeqFM", space);
+  serve::PredictorOptions opts;
+  opts.micro_batch = 16;
+  util::SetGlobalThreads(2);
+  serve::Predictor predictor(model.get(), &builder, opts);
+  ASSERT_TRUE(predictor.compiled_active());
+  EXPECT_EQ(predictor.engine()->capacity(), 16u);
+  EXPECT_EQ(predictor.engine()->stats().compiled_counts, 1u);
+
+  const data::SequenceExample ex = TestExamples()[0];
+  autograd::NoGradGuard guard;
+  for (size_t count : {9u, 1u, 4u, 3u, 9u, 1u}) {
+    std::vector<int32_t> cands(count);
+    for (size_t i = 0; i < count; ++i) {
+      cands[i] = static_cast<int32_t>((2 * i + count) % space.num_objects());
+    }
+    const std::vector<float> got = predictor.ScoreCandidates(ex, cands);
+    const data::Batch batch = ServingBatch(builder, ex, cands);
+    const autograd::Variable want = model->Score(batch, /*training=*/false);
+    ASSERT_EQ(got.size(), want.value().size());
+    ExpectBitEqual(got.data(), want.value().data(), got.size(),
+                   "count " + std::to_string(count));
+    EXPECT_EQ(predictor.engine()->stats().compiled_counts, 1u);
+  }
+  EXPECT_TRUE(predictor.compiled_active());
+  util::SetGlobalThreads(1);
+}
+
+TEST(CompiledLifecycleTest, RangesBeyondTheCapacityScoreEagerly) {
+  // ScoreContextRange over more candidates than the body's rows: the
+  // engine refuses the range, and the predictor scores it eagerly without
+  // giving up the compiled path.
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
   auto model = MakeModelByName("SeqFM", space);
   serve::PredictorOptions opts;
   opts.micro_batch = 4;
-  util::SetGlobalThreads(2);
   serve::Predictor predictor(model.get(), &builder, opts);
   ASSERT_TRUE(predictor.compiled_active());
-  const size_t initial = predictor.engine()->stats().compiled_counts;
 
-  // 0 needs no body, 1 rides the count-2 body Compile built, and a repeated
-  // size compiles once.
-  predictor.PrepareChunks({4, 3, 4, 1, 0});
-  EXPECT_EQ(predictor.engine()->stats().compiled_counts, initial + 2);
-
-  // Nine candidates in chunks of 4, 4 and 1 find every body compiled.
   std::vector<int32_t> catalog(space.num_objects());
   std::iota(catalog.begin(), catalog.end(), 0);
-  const data::SequenceExample ex = TestExamples()[0];
-  const std::vector<float> got = predictor.ScoreCandidates(ex, catalog);
-  EXPECT_EQ(predictor.engine()->stats().compiled_counts, initial + 2);
-  EXPECT_TRUE(predictor.compiled_active());
+  const data::SequenceExample ex = TestExamples()[2];
+  const serve::Predictor::ContextPtr ctx = predictor.AcquireContext(ex);
+  std::vector<float> out(catalog.size());
+  std::string error;
+  EXPECT_FALSE(predictor.engine()->ScoreRange(*ctx, catalog, 0, catalog.size(),
+                                              out.data(), &error));
+  EXPECT_NE(error.find("9 candidates exceed the body's capacity of 4 rows"),
+            std::string::npos)
+      << error;
 
+  predictor.ScoreContextRange(*ctx, ex, catalog, 0, catalog.size(),
+                              out.data());
+  EXPECT_TRUE(predictor.compiled_active());
   const data::Batch batch = ServingBatch(builder, ex, catalog);
   autograd::NoGradGuard guard;
   const autograd::Variable want = model->Score(batch, /*training=*/false);
-  ASSERT_EQ(got.size(), want.value().size());
-  ExpectBitEqual(got.data(), want.value().data(), got.size(),
-                 "prepared chunks");
-  util::SetGlobalThreads(1);
+  ExpectBitEqual(out.data(), want.value().data(), out.size(),
+                 "over-capacity range");
 }
 
 TEST(CompiledLifecycleTest, DestroyedEnginesFreeTheirExecutionFrames) {
@@ -1044,10 +1148,8 @@ TEST(CompiledLifecycleTest, DestroyedEnginesFreeTheirExecutionFrames) {
       serve::Predictor predictor(model.get(), &builder);
       ASSERT_TRUE(predictor.compiled_active());
       EXPECT_EQ(predictor.TopKAll(ex, 3).size(), 3u);
-      // One frame for the prologue and one per compiled body: the copies a
-      // later body compile makes only for its self-checks are not kept.
-      EXPECT_EQ(ir::CachedFrameCount(),
-                1 + predictor.engine()->stats().compiled_counts);
+      // One frame for the prologue and one for the body.
+      EXPECT_EQ(ir::CachedFrameCount(), 2u);
     }
     if (round == 0) {
       first = ir::CachedFrameCount();

@@ -590,8 +590,11 @@ TEST(SimdServingTest, ScoresBitIdenticalAcrossLevels) {
   serve::Predictor predictor(&model, &fx.builder);
   ASSERT_TRUE(predictor.compiled_active());
   const auto& ex = fx.dataset.train().front();
-  std::vector<int32_t> candidates;
+  // Chunks of 16, 16 and 8, then of 16 and 5: the compiled body alternates
+  // between three row counts.
+  std::vector<int32_t> candidates, shorter;
   for (int32_t i = 0; i < 40; ++i) candidates.push_back(i % 20);
+  for (int32_t i = 0; i < 21; ++i) shorter.push_back((3 * i) % 20);
 
   util::SetSimdLevel(SimdLevel::kScalar);
   const auto scalar_scores = predictor.ScoreCandidates(ex, candidates);
@@ -615,8 +618,11 @@ TEST(SimdServingTest, SteadyStateServingPerformsZeroTensorHeapAllocations) {
   // Single-threaded so every chunk runs on this (warmed) thread's arena.
   util::SetGlobalThreads(1);
   const auto& ex = fx.dataset.train().front();
-  std::vector<int32_t> candidates;
+  // Chunks of 16, 16 and 8, then of 16 and 5: the compiled body alternates
+  // between three row counts.
+  std::vector<int32_t> candidates, shorter;
   for (int32_t i = 0; i < 40; ++i) candidates.push_back(i % 20);
+  for (int32_t i = 0; i < 21; ++i) shorter.push_back((3 * i) % 20);
 
   for (const bool compiled : {true, false}) {
     serve::PredictorOptions opts;
@@ -630,12 +636,13 @@ TEST(SimdServingTest, SteadyStateServingPerformsZeroTensorHeapAllocations) {
 
     for (int warm = 0; warm < 3; ++warm) {
       (void)predictor.TopK(ex, candidates, 5);
+      (void)predictor.TopK(ex, shorter, 5);
     }
     const uint64_t tensor_allocs = tensor::internal::HeapAllocCount();
     const auto scratch_before = predictor.scratch_stats();
     std::vector<serve::ScoredItem> last;
     for (int r = 0; r < 10; ++r) {
-      last = predictor.TopK(ex, candidates, 5);
+      last = predictor.TopK(ex, r % 2 == 0 ? candidates : shorter, 5);
     }
     const auto scratch_after = predictor.scratch_stats();
     EXPECT_EQ(tensor::internal::HeapAllocCount(), tensor_allocs)
